@@ -24,6 +24,9 @@ from .statevector import OutcomeDistribution
 
 PLAYER_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
 
+MAX_SWEEP_POINTS = 1_000_000  # --theta-steps x --phi-steps
+SWEEP_CHUNK = 256  # profiles per kernel call: bounds the temporary arrays
+
 
 def parse_strategy_token(token: str) -> ewl.Strategy:
     token = token.strip()
@@ -260,21 +263,24 @@ def run_sweep(args) -> str:
     table = _load_payoffs(args.payoffs)
     if args.theta_steps < 2 or args.phi_steps < 2:
         raise GameError("sweep needs --theta-steps >= 2 and --phi-steps >= 2")
+    if args.theta_steps * args.phi_steps > MAX_SWEEP_POINTS:
+        raise GameError(f"sweep grid is limited to {MAX_SWEEP_POINTS} points")
     player = PLAYER_INDEX[args.player]
     others = args.others.strip().upper()
     if len(others) != 3 or any(ch not in ewl.NAMED_PARAMS for ch in others):
         raise GameError(f"--others must be 3 letters from C/E/A, got {args.others!r}")
 
-    thetas = np.linspace(0.0, math.pi, args.theta_steps)
-    phis = np.linspace(0.0, math.pi / 2, args.phi_steps)
-    grid = []
-    for theta in thetas:
-        for phi in phis:
-            strategies = [ewl.Strategy.named(ch) for ch in others]
-            strategies.insert(player, ewl.Strategy.parametric(theta, phi))
-            dist = ewl.outcome_distribution(ewl.StrategyProfile(*strategies))
-            value = float(expected_payoffs(dist, table)[player])
-            grid.append((float(theta), float(phi), value))
+    # Row-major (theta outer, phi inner) grid; the other players stay fixed.
+    thetas = np.repeat(np.linspace(0.0, math.pi, args.theta_steps), args.phi_steps)
+    phis = np.tile(np.linspace(0.0, math.pi / 2, args.phi_steps), args.theta_steps)
+    profiles = np.empty((thetas.size, 4, 2))  # (theta, phi) per player
+    profiles[:, [i for i in range(4) if i != player]] = [ewl.NAMED_PARAMS[ch] for ch in others]
+    profiles[:, player] = np.column_stack([thetas, phis])
+    values = np.concatenate([
+        ewl.batch_probabilities(chunk[..., 0], chunk[..., 1]) @ table.u[:, player]
+        for chunk in np.split(profiles, range(SWEEP_CHUNK, thetas.size, SWEEP_CHUNK))
+    ])
+    grid = list(zip(thetas.tolist(), phis.tolist(), values.tolist()))
 
     if args.format == "json":
         doc = {

@@ -61,16 +61,17 @@ def enumerate_table(model: str, table: PayoffTable) -> list[ProfileRecord]:
         letter_set = QUANTUM_LETTERS
     else:
         raise DomainError(f"model must be 'classical' or 'quantum', got {model!r}")
-    records = []
-    for combo in itertools.product(letter_set, repeat=4):
-        letters = "".join(combo)
-        if model == "classical":
-            dist = _classical_distribution(letters)
-        else:
-            dist = ewl.outcome_distribution(ewl.StrategyProfile.from_letters(letters))
-        pay = tuple(float(v) for v in expected_payoffs(dist, table))
-        records.append(ProfileRecord(letters, dist, pay))
-    return records
+    combos = ["".join(combo) for combo in itertools.product(letter_set, repeat=4)]
+    if model == "classical":
+        dists = [_classical_distribution(letters) for letters in combos]
+    else:
+        params = np.array([[ewl.NAMED_PARAMS[ch] for ch in letters] for letters in combos])
+        probs = ewl.batch_probabilities(params[..., 0], params[..., 1])
+        dists = [OutcomeDistribution(4, p) for p in probs]
+    return [
+        ProfileRecord(letters, dist, tuple(float(v) for v in expected_payoffs(dist, table)))
+        for letters, dist in zip(combos, dists)
+    ]
 
 
 def _payoff_map(records: list[ProfileRecord]) -> tuple[dict[str, tuple], tuple[str, ...]]:

@@ -22,17 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError
-from .statevector import (
-    I2,
-    SIGMA_Y,
-    OutcomeDistribution,
-    StateVector,
-    apply_operator,
-    apply_single_qubit,
-    new_basis_state,
-    probabilities,
-)
+from .errors import DomainError, ValidationError
+from .statevector import ATOL_ANALYTIC, SIGMA_Y, OutcomeDistribution, StateVector
 
 PLAYERS = ("alice", "bob", "colin", "doug")
 
@@ -135,19 +126,49 @@ def disentangler() -> np.ndarray:
     return jd
 
 
-def initial_state() -> StateVector:
-    """|ψ0> = |0000> = |CCCC>."""
-    return new_basis_state(4, 0)
+def _amplitudes(thetas, phis) -> np.ndarray:
+    """(N, 16) final states of N profiles from (N, 4) arrays of θ and φ.
+
+    J|0000> = (|0000> + i|1111>)/√2, so (⊗U)J|0000> is the sum of the outer
+    products of each U's first and second columns; J† is one matrix product.
+    """
+    thetas, phis = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    if thetas.shape != phis.shape or thetas.ndim != 2 or thetas.shape[1] != 4:
+        raise DomainError(f"angles must be two (N, 4) arrays, got {thetas.shape}, {phis.shape}")
+    # Every comparison with NaN is False, so NaN fails the range checks too.
+    if not np.all((thetas >= 0.0) & (thetas <= math.pi)):
+        raise DomainError("theta must be in [0, pi] for every player")
+    if not np.all((phis >= 0.0) & (phis <= math.pi / 2)):
+        raise DomainError("phi must be in [0, pi/2] for every player")
+    c, s, ph = np.cos(thetas / 2), np.sin(thetas / 2), np.exp(1j * phis)
+    u0, u1 = (ph * c, -s), (s, c / ph)  # first and second column of each U
+
+    def outer(col):  # ⊗ₚ of one column per player, shape (N, 16)
+        per_player = np.stack(col, axis=-1).transpose(1, 0, 2)
+        return np.einsum("na,nb,nc,nd->nabcd", *per_player).reshape(-1, 16)
+
+    psi = (outer(u0) + 1j * outer(u1)) / math.sqrt(2)
+    return psi @ disentangler().T
+
+
+def batch_probabilities(thetas, phis) -> np.ndarray:
+    """(N, 16) Born probabilities of N profiles given (N, 4) arrays of θ and φ
+    (players in Alice..Doug order). Angles are checked once per batch."""
+    p = np.abs(_amplitudes(thetas, phis)) ** 2
+    if not np.all(np.isfinite(p)) or np.any(np.abs(p.sum(axis=1) - 1.0) > ATOL_ANALYTIC):
+        raise ValidationError("batch probabilities are not finite or do not sum to 1")
+    return p
+
+
+def _angles(profile: StrategyProfile) -> tuple[list, list]:
+    return [[s.theta for s in profile]], [[s.phi for s in profile]]
 
 
 def final_state(profile: StrategyProfile) -> StateVector:
     """|ψf> = J† (U_A ⊗ U_B ⊗ U_C ⊗ U_D) J |0000>."""
-    state = apply_operator(initial_state(), entangler())
-    for qubit, strategy in enumerate(profile):
-        state = apply_single_qubit(state, strategy_unitary(strategy), qubit)
-    return apply_operator(state, disentangler())
+    return StateVector(4, _amplitudes(*_angles(profile))[0])
 
 
 def outcome_distribution(profile: StrategyProfile) -> OutcomeDistribution:
     """Born probabilities of the 16 outcomes for a strategy profile."""
-    return probabilities(final_state(profile))
+    return OutcomeDistribution(4, batch_probabilities(*_angles(profile))[0])

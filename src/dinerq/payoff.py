@@ -114,6 +114,8 @@ def load_table(text: str) -> PayoffTable:
 
     if "symmetric" in doc:
         sym = doc["symmetric"]
+        if not isinstance(sym, dict):
+            raise ValidationError("'symmetric' must map 'C' and 'E' to 4 utilities each")
         for key in ("C", "E"):
             if key not in sym:
                 raise ValidationError(f"symmetric payoff config is missing row {key!r}")
@@ -147,6 +149,8 @@ def dump_table(table: PayoffTable) -> str:
 
 
 def _numeric_row(values, key: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ValidationError(f"utilities under {key!r} must be a JSON array")
     try:
         return [float(v) for v in values]
     except (TypeError, ValueError) as exc:

@@ -64,13 +64,17 @@ _UNKNOWN_GATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)")
 def _parse_angle(text: str, lineno: int) -> float:
     text = text.strip()
     m = _ANGLE_RE.match(text)
-    if m:
-        value = math.pi / int(m.group(2) or 1)
-        return -value if m.group(1) else value
     try:
-        return float(text)
-    except ValueError:
+        if m:
+            value = math.pi / int(m.group(2) or 1)
+            value = -value if m.group(1) else value
+        else:
+            value = float(text)
+    except (ArithmeticError, ValueError):
         raise QasmError(lineno, f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise QasmError(lineno, f"angle {text!r} is not finite")
+    return value
 
 
 def import_qasm(text: str) -> Circuit:

@@ -179,3 +179,38 @@ def test_classical_simulate_rejects_quantum_move(capsys):
         capsys, "simulate", "--profile", "A,A,A,A", "--model", "classical"
     )
     assert code == 1 and "classical" in err
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"symmetric": {"C": "6430", "E": "8431"}}, "JSON array"),
+        ({"symmetric": "CE"}, "symmetric"),
+    ],
+)
+def test_malformed_symmetric_payoff_file(capsys, tmp_path, doc, message):
+    cfg = tmp_path / "payoffs.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "simulate", "--profile", "A,A,A,A", "--payoffs", str(cfg)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_sweep_grid_bound_checked_before_kernel(capsys, monkeypatch):
+    from dinerq import cli, ewl
+
+    def kernel_must_not_run(*args):
+        raise AssertionError("kernel called on an over-limit grid")
+
+    monkeypatch.setattr(ewl, "batch_probabilities", kernel_must_not_run)
+    steps = math.isqrt(cli.MAX_SWEEP_POINTS)
+    assert steps * steps == cli.MAX_SWEEP_POINTS  # one more phi step goes over
+    code, out, err = run_cli(
+        capsys, "sweep", "--player", "D", "--others", "EEE",
+        "--theta-steps", str(steps), "--phi-steps", str(steps + 1),
+    )
+    assert code == 1 and out == ""
+    assert str(cli.MAX_SWEEP_POINTS) in err

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle
 from dinerq import ewl
@@ -139,3 +141,95 @@ def test_profile_letters_and_parsing():
     assert q.letters is None
     with pytest.raises(DomainError):
         ewl.StrategyProfile.from_letters("CE")
+
+
+# --- batched kernel against the oracle ----------------------------------------
+
+def _oracle_rows(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    return np.array(
+        [
+            oracle.distribution([oracle.strategy_matrix(t, p) for t, p in zip(trow, prow)])
+            for trow, prow in zip(th, ph)
+        ]
+    )
+
+
+@st.composite
+def angle_batches(draw):
+    # N=1, the 81-profile table size, and one past a 256-profile sweep chunk
+    n = draw(st.sampled_from([1, 81, 257]))
+    th = draw(hnp.arrays(float, (n, 4), elements=thetas))
+    ph = draw(hnp.arrays(float, (n, 4), elements=phis))
+    return th, ph
+
+
+@settings(max_examples=25, deadline=None)
+@given(angle_batches())
+def test_batch_probabilities_match_oracle(batch):
+    th, ph = batch
+    got = ewl.batch_probabilities(th, ph)
+    assert got.shape == (len(th), 16)
+    assert np.max(np.abs(got - _oracle_rows(th, ph))) < 1e-12
+
+
+def test_batch_of_named_profiles_matches_oracle():
+    letters = ["".join(c) for c in itertools.product("CEA", repeat=4)]
+    params = np.array([[ewl.NAMED_PARAMS[ch] for ch in row] for row in letters])
+    got = ewl.batch_probabilities(params[..., 0], params[..., 1])
+    want = np.array([oracle.distribution(row) for row in letters])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_sweep_json_matches_oracle(capsys):
+    from dinerq.cli import main
+
+    assert main([
+        "sweep", "--player", "B", "--others", "CEA",
+        "--theta-steps", "20", "--phi-steps", "13", "--format", "json",
+    ]) == 0
+    grid = json.loads(capsys.readouterr().out)["grid"]
+    assert len(grid) == 260  # crosses a 256-profile chunk boundary
+    named = [oracle.NAMED[ch] for ch in "CEA"]
+    for point in grid:
+        us = list(named)
+        us.insert(1, oracle.strategy_matrix(point["theta"], point["phi"]))
+        want = oracle.payoffs(oracle.distribution(us))[1]
+        assert abs(point["payoff"] - want) < 1e-12
+
+
+def test_final_state_matches_oracle_amplitudes():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        th, ph = rng.uniform(0, math.pi, 4), rng.uniform(0, math.pi / 2, 4)
+        profile = ewl.StrategyProfile(*map(ewl.Strategy.parametric, th, ph))
+        want = oracle.final_state([oracle.strategy_matrix(t, p) for t, p in zip(th, ph)])
+        assert np.max(np.abs(ewl.final_state(profile).amps - want)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "theta,phi",
+    [
+        (-1e-12, 0.0),
+        (math.pi + 1e-9, 0.0),
+        (float("nan"), 0.0),
+        (float("inf"), 0.0),
+        (0.0, -1e-12),
+        (0.0, math.pi / 2 + 1e-9),
+        (0.0, float("nan")),
+    ],
+)
+def test_batch_rejects_bad_angles(theta, phi):
+    th = np.zeros((3, 4))
+    ph = np.zeros((3, 4))
+    th[2, 1], ph[2, 1] = theta, phi
+    with pytest.raises(DomainError):
+        ewl.batch_probabilities(th, ph)
+
+
+def test_batch_rejects_bad_shapes():
+    with pytest.raises(DomainError):
+        ewl.batch_probabilities(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(DomainError):
+        ewl.batch_probabilities(np.zeros((2, 4)), np.zeros((3, 4)))
+    with pytest.raises(DomainError):
+        ewl.batch_probabilities(np.zeros(4), np.zeros(4))

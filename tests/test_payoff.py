@@ -118,3 +118,24 @@ def test_load_table_errors():
 def test_from_symmetric_validates_shape():
     with pytest.raises(ValidationError):
         from_symmetric([1, 2, 3], [4, 5, 6, 7])
+
+
+def test_symmetric_rows_must_be_arrays():
+    # a string row used to be read character by character as (6, 4, 3, 0)
+    text = json.dumps({"symmetric": {"C": "6430", "E": "8431"}})
+    with pytest.raises(ValidationError, match="JSON array"):
+        load_table(text)
+
+
+def test_outcome_rows_must_be_arrays():
+    doc = json.loads(dump_table(builtin_table()))
+    doc["outcomes"]["0110"] = "3333"
+    with pytest.raises(ValidationError, match="0110"):
+        load_table(json.dumps(doc))
+
+
+def test_symmetric_must_be_an_object():
+    with pytest.raises(ValidationError, match="symmetric"):
+        load_table(json.dumps({"symmetric": "CE"}))
+    with pytest.raises(ValidationError, match="symmetric"):
+        load_table(json.dumps({"symmetric": [[6, 4, 3, 0], [8, 4, 3, 1]]}))

@@ -84,3 +84,13 @@ def test_blank_lines_and_comments_skipped():
     text = export_qasm(Circuit((CZGate(0, 1),)))
     padded = text.replace("cz", "\n// a comment\ncz")
     assert import_qasm(padded).gates == (CZGate(0, 1),)
+
+
+@pytest.mark.parametrize(
+    "angle", ["pi/0", "-pi/0", "nan", "-nan", "inf", "-inf", "infinity", "1e999"]
+)
+def test_bad_angle_is_qasm_error_with_line(angle):
+    text = export_qasm(Circuit(())) + f"u3({angle},0,0) q[0];\n"
+    with pytest.raises(QasmError, match="line 5") as exc:
+        import_qasm(text)
+    assert exc.value.lineno == 5
