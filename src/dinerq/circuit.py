@@ -35,6 +35,7 @@ from . import ewl
 from .errors import DomainError, ValidationError
 from .statevector import (
     OutcomeDistribution,
+    StateVector,
     apply_controlled,
     apply_single_qubit,
     equal_up_to_global_phase,
@@ -195,9 +196,9 @@ def build_game_circuit(profile: ewl.StrategyProfile) -> Circuit:
     return Circuit(tuple(gates))
 
 
-def simulate_circuit(circuit: Circuit) -> OutcomeDistribution:
-    """Exact Born distribution of the circuit applied to |0...0>."""
-    state = new_basis_state(circuit.n_qubits, 0)
+def _run_gates(circuit: Circuit, k: int) -> StateVector:
+    """The circuit's unitary gates applied, one by one, to basis state |k>."""
+    state = new_basis_state(circuit.n_qubits, k)
     for g in circuit.unitary_gates():
         if isinstance(g, U3Gate):
             state = apply_single_qubit(state, u3_matrix(g.theta, g.phi, g.lam), g.target)
@@ -205,7 +206,12 @@ def simulate_circuit(circuit: Circuit) -> OutcomeDistribution:
             state = apply_controlled(state, "cz", g.a, g.b)
         else:
             state = apply_controlled(state, "cnot", g.control, g.target)
-    dist = probabilities(state)
+    return state
+
+
+def simulate_circuit(circuit: Circuit) -> OutcomeDistribution:
+    """Exact Born distribution of the circuit applied to |0...0>."""
+    dist = probabilities(_run_gates(circuit, 0))
     measures = circuit.measures()
     if not measures:
         return dist
@@ -229,21 +235,7 @@ def simulate_circuit(circuit: Circuit) -> OutcomeDistribution:
 
 def compose(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit's gate list (measurements excluded)."""
-    dim = 2**circuit.n_qubits
-    columns = []
-    for k in range(dim):
-        state = new_basis_state(circuit.n_qubits, k)
-        for g in circuit.unitary_gates():
-            if isinstance(g, U3Gate):
-                state = apply_single_qubit(
-                    state, u3_matrix(g.theta, g.phi, g.lam), g.target
-                )
-            elif isinstance(g, CZGate):
-                state = apply_controlled(state, "cz", g.a, g.b)
-            else:
-                state = apply_controlled(state, "cnot", g.control, g.target)
-        columns.append(state.amps)
-    return np.column_stack(columns)
+    return np.column_stack([_run_gates(circuit, k).amps for k in range(2**circuit.n_qubits)])
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> dict[str, int]:

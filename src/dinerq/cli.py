@@ -52,7 +52,7 @@ def parse_profile(text: str) -> ewl.StrategyProfile:
 def _load_payoffs(path: str | None) -> PayoffTable:
     if path is None:
         return builtin_table()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return load_table(fh.read())
 
 
@@ -61,7 +61,7 @@ def _dist_for(profile: ewl.StrategyProfile, model: str) -> OutcomeDistribution:
         letters = profile.letters
         if letters is None or "A" in letters:
             raise GameError("classical model only accepts profiles over {C, E}")
-        return equilibrium._classical_distribution(letters)
+        return equilibrium.classical_distribution(letters)
     return ewl.outcome_distribution(profile)
 
 

@@ -14,6 +14,9 @@ set is {EEEE} classically and {AAAA} quantum-mechanically.
 Likewise two efficiency notions: `find_pareto_standard` (textbook Pareto
 undominated) and `find_symmetric_optima` (profiles reaching the best equal
 payoff vector, (6,6,6,6) for the built-in game; there are 8 of them).
+
+Every routine works on one dense array P[s_A, s_B, s_C, s_D, player] built
+from the records; a player's alternatives lie along their own axis of P.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class ProfileRecord:
     payoffs: tuple[float, float, float, float]
 
 
-def _classical_distribution(letters: str) -> OutcomeDistribution:
+def classical_distribution(letters: str) -> OutcomeDistribution:
+    """Point mass on the outcome a classical {C, E} profile plays for sure."""
     index = int("".join("1" if ch == "E" else "0" for ch in letters), 2)
     p = np.zeros(16)
     p[index] = 1.0
@@ -63,7 +67,7 @@ def enumerate_table(model: str, table: PayoffTable) -> list[ProfileRecord]:
         raise DomainError(f"model must be 'classical' or 'quantum', got {model!r}")
     combos = ["".join(combo) for combo in itertools.product(letter_set, repeat=4)]
     if model == "classical":
-        dists = [_classical_distribution(letters) for letters in combos]
+        dists = [classical_distribution(letters) for letters in combos]
     else:
         params = np.array([[ewl.NAMED_PARAMS[ch] for ch in letters] for letters in combos])
         probs = ewl.batch_probabilities(params[..., 0], params[..., 1])
@@ -74,77 +78,68 @@ def enumerate_table(model: str, table: PayoffTable) -> list[ProfileRecord]:
     ]
 
 
-def _payoff_map(records: list[ProfileRecord]) -> tuple[dict[str, tuple], tuple[str, ...]]:
-    """Validate completeness and return (letters -> payoffs, per-player sets)."""
+def _payoff_array(records: list[ProfileRecord]) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
+    """Validate completeness and return (P, per-player sets, profiles): P is
+    P[s_A, s_B, s_C, s_D, player] over the per-player letter sets, and the
+    profiles are listed in P's C order, which is the C < E < A order."""
     pay = {r.letters: r.payoffs for r in records}
     sets = tuple(
         "".join(ch for ch in LETTER_ORDER if ch in {r.letters[i] for r in records})
         for i in range(4)
     )
-    expected = {"".join(t) for t in itertools.product(*sets)}
-    if set(pay) != expected:
-        missing = sorted(expected - set(pay))
+    profiles = ["".join(t) for t in itertools.product(*sets)]
+    if set(pay) != set(profiles):
+        missing = sorted(set(profiles) - set(pay))
         raise ValidationError(
             f"records do not cover the full strategy product; missing {missing[:3]}"
         )
-    return pay, sets
+    payoffs = np.array([pay[p] for p in profiles], dtype=float)
+    return payoffs.reshape(*map(len, sets), 4), sets, profiles
 
 
-def _deviations(letters: str, player: int, letter_set: str):
-    for alt in letter_set:
-        if alt != letters[player]:
-            yield alt, letters[:player] + alt + letters[player + 1 :]
+def _own_axis(P: np.ndarray, player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(after, before, same) along `player`'s own axis: before[s] is the
+    player's payoff at profile s, after[a, s] their payoff once they switch to
+    their a-th strategy, and same[a, s] whether that strategy is their move at s."""
+    before = P[..., player]
+    n = before.shape[player]
+    after = np.expand_dims(np.moveaxis(before, player, 0), player + 1)
+    same = np.eye(n, dtype=bool).reshape((n,) + tuple(n if k == player else 1 for k in range(4)))
+    return after, before, same
 
 
 def find_nash(records: list[ProfileRecord], strict: bool = True) -> list[str]:
     """Nash equilibria. Strict: every deviation strictly hurts the deviator;
     weak (strict=False): no deviation strictly helps."""
-    pay, sets = _payoff_map(records)
-    result = []
-    for letters in sorted(pay, key=_profile_key):
-        ok = True
-        for player in range(4):
-            for _, dev in _deviations(letters, player, sets[player]):
-                gain = pay[dev][player] - pay[letters][player]
-                if (strict and gain > -TIE_TOL) or (not strict and gain > TIE_TOL):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            result.append(letters)
-    return result
+    P, _, profiles = _payoff_array(records)
+    stable = np.ones(P.shape[:4], dtype=bool)
+    for player in range(4):
+        after, before, same = _own_axis(P, player)
+        gain = after - before
+        breaks = gain > -TIE_TOL if strict else gain > TIE_TOL
+        stable &= ~np.any(breaks & ~same, axis=0)
+    return [profiles[k] for k in np.flatnonzero(stable)]
 
 
 def find_pareto_standard(records: list[ProfileRecord]) -> list[str]:
     """Profiles whose payoff vector no other profile weakly dominates with at
     least one strict improvement."""
-    pay, _ = _payoff_map(records)
-    vecs = {p: np.array(v) for p, v in pay.items()}
-    result = []
-    for p, v in vecs.items():
-        dominated = any(
-            np.all(w >= v - TIE_TOL) and np.any(w > v + TIE_TOL)
-            for q, w in vecs.items()
-            if q != p
-        )
-        if not dominated:
-            result.append(p)
-    return sorted(result, key=_profile_key)
+    P, _, profiles = _payoff_array(records)
+    v = P.reshape(-1, 1, 4)  # v[p] against every w[q]
+    w = P.reshape(1, -1, 4)
+    beaten = np.all(w >= v - TIE_TOL, axis=2) & np.any(w > v + TIE_TOL, axis=2)
+    return [p for p, dominated in zip(profiles, beaten.any(axis=1)) if not dominated]
 
 
 def find_symmetric_optima(records: list[ProfileRecord]) -> list[str]:
     """Profiles achieving the maximal equal payoff vector (v, v, v, v)."""
-    pay, _ = _payoff_map(records)
-    symmetric = {
-        p: v[0] for p, v in pay.items() if max(v) - min(v) <= TIE_TOL
-    }
-    if not symmetric:
+    P, _, profiles = _payoff_array(records)
+    v = P.reshape(-1, 4)
+    symmetric = v.max(axis=1) - v.min(axis=1) <= TIE_TOL
+    if not symmetric.any():
         return []
-    best = max(symmetric.values())
-    return sorted(
-        (p for p, v in symmetric.items() if v >= best - TIE_TOL), key=_profile_key
-    )
+    best = v[symmetric, 0].max()
+    return [profiles[k] for k in np.flatnonzero(symmetric & (v[:, 0] >= best - TIE_TOL))]
 
 
 def best_response(
@@ -152,53 +147,32 @@ def best_response(
 ) -> list[str]:
     """All strategies maximizing `player`'s payoff against fixed opponents
     (ties within tolerance all returned)."""
-    pay, sets = _payoff_map(records)
+    P, sets, _ = _payoff_array(records)
     if not 0 <= player <= 3:
         raise DomainError(f"player index must be 0..3, got {player}")
-    opponent_sets = [s for i, s in enumerate(sets) if i != player]
-    if len(opponents) != 3 or any(
-        ch not in allowed for ch, allowed in zip(opponents, opponent_sets)
-    ):
+    others = [i for i in range(4) if i != player]
+    if len(opponents) != 3 or any(ch not in tuple(sets[i]) for ch, i in zip(opponents, others)):
         raise DomainError(f"opponents must be 3 analyzed strategies, got {opponents!r}")
-    values = {}
-    for own in sets[player]:
-        rest = list(opponents)
-        rest.insert(player, own)
-        values[own] = pay["".join(rest)][player]
-    best = max(values.values())
-    return [s for s in sets[player] if values[s] >= best - TIE_TOL]
+    at: list = [slice(None)] * 4
+    for ch, i in zip(opponents, others):
+        at[i] = sets[i].index(ch)
+    values = P[tuple(at) + (player,)]
+    best = values.max()
+    return [s for s, v in zip(sets[player], values) if v >= best - TIE_TOL]
 
 
 def dominant_strategies(records: list[ProfileRecord]) -> tuple[str | None, ...]:
     """Per player: the strategy that is weakly best against every opponent
     combination and strictly best for at least one, or None."""
-    pay, sets = _payoff_map(records)
+    P, sets, _ = _payoff_array(records)
     result: list[str | None] = []
     for player in range(4):
-        found = None
-        opponent_sets = [s for i, s in enumerate(sets) if i != player]
-        for own in sets[player]:
-            weakly_best, somewhere_strict = True, False
-            for opp in itertools.product(*opponent_sets):
-                rest = list(opp)
-                rest.insert(player, own)
-                base = pay["".join(rest)][player]
-                for alt in sets[player]:
-                    if alt == own:
-                        continue
-                    rest[player] = alt
-                    other = pay["".join(rest)][player]
-                    rest[player] = own
-                    if base < other - TIE_TOL:
-                        weakly_best = False
-                    elif base > other + TIE_TOL:
-                        somewhere_strict = True
-                if not weakly_best:
-                    break
-            if weakly_best and somewhere_strict:
-                found = own
-                break
-        result.append(found)
+        after, before, _ = _own_axis(P, player)
+        axes = (0,) + tuple(k + 1 for k in range(4) if k != player)
+        weakly_best = ~np.any(before < after - TIE_TOL, axis=axes)
+        somewhere_strict = np.any(before > after + TIE_TOL, axis=axes)
+        found = np.flatnonzero(weakly_best & somewhere_strict)
+        result.append(sets[player][found[0]] if found.size else None)
     return tuple(result)
 
 
@@ -207,14 +181,14 @@ def deviation_values(
 ) -> list[tuple[int, str, float, float]]:
     """Every unilateral substitution at `letters`, the current strategy
     included: (player, alternative, deviator's payoff after, payoff before)."""
-    pay, sets = _payoff_map(records)
-    if letters not in pay:
+    P, sets, profiles = _payoff_array(records)
+    if letters not in profiles:
         raise DomainError(f"profile {letters!r} is not in the analyzed set")
+    at = np.unravel_index(profiles.index(letters), P.shape[:4])
     out = []
     for player in range(4):
-        for alt in sets[player]:
-            dev = letters[:player] + alt + letters[player + 1 :]
-            out.append((player, alt, pay[dev][player], pay[letters][player]))
+        row = P[at[:player] + (slice(None),) + at[player + 1 :] + (player,)].tolist()
+        out += [(player, alt, after, row[at[player]]) for alt, after in zip(sets[player], row)]
     return out
 
 
@@ -229,10 +203,6 @@ def profitable_deviation(
     return None
 
 
-def _profile_key(letters: str) -> tuple[int, ...]:
-    return tuple(LETTER_ORDER.index(ch) for ch in letters)
-
-
 @dataclass(frozen=True)
 class EquilibriumReport:
     """Full analysis of one model's table."""
@@ -243,18 +213,12 @@ class EquilibriumReport:
     pareto_standard: tuple[str, ...]
     symmetric_optima: tuple[str, ...]
     dominant: tuple[str | None, ...]
-    best_responses: dict[tuple[int, str], tuple[str, ...]]
     aaaa_deviations: tuple[tuple[int, str, float, float], ...] | None
     eeee_witness: tuple[int, str, float, float] | None
 
 
 def analyze(records: list[ProfileRecord], model: str) -> EquilibriumReport:
-    _, sets = _payoff_map(records)
-    best_responses = {
-        (player, "".join(opp)): tuple(best_response(records, player, tuple(opp)))
-        for player in range(4)
-        for opp in itertools.product(*(s for i, s in enumerate(sets) if i != player))
-    }
+    _, sets, _ = _payoff_array(records)
     aaaa = None
     if all("A" in s for s in sets):
         aaaa = tuple(deviation_values(records, "AAAA"))
@@ -265,7 +229,6 @@ def analyze(records: list[ProfileRecord], model: str) -> EquilibriumReport:
         pareto_standard=tuple(find_pareto_standard(records)),
         symmetric_optima=tuple(find_symmetric_optima(records)),
         dominant=dominant_strategies(records),
-        best_responses=best_responses,
         aaaa_deviations=aaaa,
         eeee_witness=profitable_deviation(records, "EEEE"),
     )

@@ -97,15 +97,16 @@ def expected_payoffs(dist: OutcomeDistribution, table: PayoffTable) -> np.ndarra
     return dist.p @ table.u
 
 
-def load_table(text: str) -> PayoffTable:
-    """Parse a payoff-table config (JSON).
+def load_table(text: str | bytes) -> PayoffTable:
+    """Parse a payoff-table config (JSON text, or UTF-8 bytes of it).
 
     Accepts either {"outcomes": {"0000": [u_A,u_B,u_C,u_D], ...}} with all 16
-    outcomes, or {"symmetric": {"C": [...4 values...], "E": [...]}}.
+    outcomes, or {"symmetric": {"C": [...4 values...], "E": [...]}}. Every
+    utility must be a JSON number.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise ValidationError(f"payoff config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("payoff config must be a JSON object")
@@ -151,7 +152,9 @@ def dump_table(table: PayoffTable) -> str:
 def _numeric_row(values, key: str) -> list[float]:
     if not isinstance(values, list):
         raise ValidationError(f"utilities under {key!r} must be a JSON array")
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ValidationError(f"non-numeric utility under {key!r}")
     try:
         return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"non-numeric utility under {key!r}") from exc
+    except OverflowError as exc:
+        raise ValidationError(f"utility under {key!r} is too large") from exc

@@ -55,9 +55,11 @@ def export_qasm(circuit: Circuit) -> str:
 
 
 _ANGLE_RE = re.compile(r"^(-?)pi(?:/(\d+))?$")
-_U3_RE = re.compile(r"^u3\(([^)]*)\)\s+q\[(\d+)\];$")
-_TWOQ_RE = re.compile(r"^(cz|cx)\s+q\[(\d+)\],\s*q\[(\d+)\];$")
-_MEASURE_RE = re.compile(r"^measure\s+q\[(\d+)\]\s*->\s*c\[(\d+)\];$")
+# Register indices of at most 9 digits: a longer one cannot name a qubit, and
+# int() refuses more than 4,300 digits with a bare ValueError.
+_U3_RE = re.compile(r"^u3\(([^)]*)\)\s+q\[(\d{1,9})\];$")
+_TWOQ_RE = re.compile(r"^(cz|cx)\s+q\[(\d{1,9})\],\s*q\[(\d{1,9})\];$")
+_MEASURE_RE = re.compile(r"^measure\s+q\[(\d{1,9})\]\s*->\s*c\[(\d{1,9})\];$")
 _UNKNOWN_GATE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)")
 
 

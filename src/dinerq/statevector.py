@@ -5,8 +5,8 @@ Conventions:
   bit of the outcome string. For the four-player game, qubit 0 is Alice and
   qubit 3 is Doug, so index 0b0001 is the outcome "0001" (only Doug expensive).
   IBM-style histograms display the reversed string; we always print big-endian.
-- Gates are applied qubit-wise (the fast path). The dense Kronecker-product
-  route exists for operator construction and as an independent check.
+- Gates are applied qubit-wise, one at a time; this is the gate-level path
+  of `circuit`. The EWL pipeline uses the closed-form kernel in `ewl`.
 - Tolerances: 1e-9 for analytic identities (normalization, unitarity),
   1e-12 for pure arithmetic equalities.
 """
@@ -24,18 +24,7 @@ ATOL_EXACT = 1e-12
 
 MAX_QUBITS = 20  # dense amplitudes; 2^20 complex doubles is the ceiling
 
-I2 = np.eye(2, dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-def require_unitary(u: np.ndarray, atol: float = ATOL_ANALYTIC) -> np.ndarray:
-    """Return `u` as a complex array, or raise ValidationError if not unitary."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError(f"operator must be square, got shape {u.shape}")
-    if not np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=atol):
-        raise ValidationError("operator is not unitary within tolerance")
-    return u
 
 
 @dataclass(frozen=True)
@@ -150,27 +139,6 @@ def apply_controlled(state: StateVector, kind: str, control: int, target: int) -
     else:
         raise DomainError(f"unknown controlled gate kind {kind!r}")
     return StateVector(state.n, psi.reshape(-1))
-
-
-def tensor4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """16x16 Kronecker product a ⊗ b ⊗ c ⊗ d (Alice ⊗ Bob ⊗ Colin ⊗ Doug)."""
-    mats = [require_unitary(m) for m in (a, b, c, d)]
-    for m in mats:
-        if m.shape != (2, 2):
-            raise ValidationError(f"tensor4 expects 2x2 factors, got {m.shape}")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def apply_operator(state: StateVector, op: np.ndarray) -> StateVector:
-    """Full-register matrix-vector product op @ state."""
-    op = np.asarray(op, dtype=complex)
-    dim = 2**state.n
-    if op.shape != (dim, dim):
-        raise DomainError(f"operator shape {op.shape} does not match dimension {dim}")
-    return StateVector(state.n, op @ state.amps)
 
 
 def probabilities(state: StateVector) -> OutcomeDistribution:

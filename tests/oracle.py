@@ -99,3 +99,80 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
 def random_state(rng: np.random.Generator, n: int = 4) -> np.ndarray:
     z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return z / np.linalg.norm(z)
+
+
+# --- equilibrium routines as explicit loops over a letters -> payoffs dict ----
+# `sets` lists each player's strategies in C < E < A order; `pay` covers their
+# product. The tie comparisons are written exactly as the package writes them.
+
+TIE_TOL = 1e-9
+
+
+def _swap(letters: str, player: int, alt: str) -> str:
+    return letters[:player] + alt + letters[player + 1 :]
+
+
+def profiles(sets) -> list[str]:
+    out = [""]
+    for s in sets:
+        out = [p + ch for p in out for ch in s]
+    return out
+
+
+def nash(pay: dict, sets, strict: bool) -> list[str]:
+    def breaks(gain):
+        return gain > -TIE_TOL if strict else gain > TIE_TOL
+
+    return [
+        p
+        for p in profiles(sets)
+        if not any(
+            breaks(pay[_swap(p, i, alt)][i] - pay[p][i])
+            for i in range(4)
+            for alt in sets[i]
+            if alt != p[i]
+        )
+    ]
+
+
+def pareto(pay: dict, sets) -> list[str]:
+    def beats(w, v):
+        return all(a >= b - TIE_TOL for a, b in zip(w, v)) and any(
+            a > b + TIE_TOL for a, b in zip(w, v)
+        )
+
+    return [p for p in profiles(sets) if not any(beats(pay[q], pay[p]) for q in pay if q != p)]
+
+
+def symmetric_optima(pay: dict, sets) -> list[str]:
+    equal = [p for p in profiles(sets) if max(pay[p]) - min(pay[p]) <= TIE_TOL]
+    if not equal:
+        return []
+    best = max(pay[p][0] for p in equal)
+    return [p for p in equal if pay[p][0] >= best - TIE_TOL]
+
+
+def dominant(pay: dict, sets) -> tuple:
+    result = []
+    for i in range(4):
+        found = None
+        for own in sets[i]:
+            at_own = [p for p in profiles(sets) if p[i] == own]
+            pairs = [(pay[p][i], pay[_swap(p, i, alt)][i]) for p in at_own for alt in sets[i] if alt != own]
+            if all(not base < other - TIE_TOL for base, other in pairs) and any(
+                base > other + TIE_TOL for base, other in pairs
+            ):
+                found = own
+                break
+        result.append(found)
+    return tuple(result)
+
+
+def best_response(pay: dict, sets, player: int, opponents) -> list[str]:
+    values = {}
+    for own in sets[player]:
+        rest = list(opponents)
+        rest.insert(player, own)
+        values[own] = pay["".join(rest)][player]
+    best = max(values.values())
+    return [s for s in sets[player] if values[s] >= best - TIE_TOL]

@@ -9,6 +9,7 @@ from dinerq.cli import main, parse_profile, parse_strategy_token
 from dinerq.errors import GameError
 from dinerq.qasm import import_qasm
 from dinerq.circuit import simulate_circuit
+from test_payoff import BAD_PAYOFF_CONFIGS
 
 
 def run_cli(capsys, *argv):
@@ -214,3 +215,12 @@ def test_sweep_grid_bound_checked_before_kernel(capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert str(cli.MAX_SWEEP_POINTS) in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYOFF_CONFIGS))
+def test_bad_payoff_file_is_error_exit(capsys, tmp_path, case):
+    cfg = tmp_path / "payoffs.json"
+    cfg.write_bytes(BAD_PAYOFF_CONFIGS[case])
+    code, out, err = run_cli(capsys, "table", "--payoffs", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from dinerq.equilibrium import (
@@ -162,6 +164,8 @@ def test_best_responses(classical_records, quantum_records):
     assert best_response(quantum_records, 3, ("C", "C", "C")) == ["E"]
     with pytest.raises(DomainError):
         best_response(quantum_records, 3, ("C", "C", "Q"))
+    with pytest.raises(DomainError):  # a substring of "CEA" is not a strategy
+        best_response(quantum_records, 3, ("CE", "C", "C"))
     with pytest.raises(DomainError):
         best_response(quantum_records, 4, ("C", "C", "C"))
 
@@ -198,5 +202,45 @@ def test_analyze_report(quantum_records):
     assert len(report.symmetric_optima) == 8
     assert report.aaaa_deviations is not None and len(report.aaaa_deviations) == 12
     assert report.eeee_witness is not None
-    assert report.best_responses[(3, "EEE")] == ("A",)
-    assert all(len(v) > 0 for v in report.best_responses.values())
+
+
+# Values within, at and beyond TIE_TOL of each other, so that ties decide;
+# 0, 1e-9 and 2e-9 differ by exactly TIE_TOL.
+TIE_VALUES = [0.0, 1e-9, 2e-9, 3e-10, 1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 1e-9, 2.0, -1.0]
+letter_sets = st.sets(st.sampled_from("CEA"), min_size=1).map(
+    lambda chosen: "".join(ch for ch in "CEA" if ch in chosen)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[letter_sets] * 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["ties", "equal", "normal"]),
+)
+def test_routines_match_loop_reference(sets, seed, values):
+    rng = np.random.default_rng(seed)
+    profiles = oracle.profiles(sets)
+    draw = {
+        "ties": lambda: rng.choice(TIE_VALUES, size=4),
+        "equal": lambda: np.repeat(rng.choice(TIE_VALUES), 4),  # symmetric vectors
+        "normal": lambda: rng.normal(size=4),
+    }[values]
+    pay = {p: tuple(draw()) for p in profiles}
+    records = toy_records({p: pay[p] for p in rng.permutation(profiles)})
+    for strict in (True, False):
+        assert find_nash(records, strict) == oracle.nash(pay, sets, strict)
+    assert find_pareto_standard(records) == oracle.pareto(pay, sets)
+    assert find_symmetric_optima(records) == oracle.symmetric_optima(pay, sets)
+    assert dominant_strategies(records) == oracle.dominant(pay, sets)
+    player = int(rng.integers(4))
+    opponents = tuple(sets[i][int(rng.integers(len(sets[i])))] for i in range(4) if i != player)
+    assert best_response(records, player, opponents) == oracle.best_response(
+        pay, sets, player, opponents
+    )
+    letters = profiles[int(rng.integers(len(profiles)))]
+    assert deviation_values(records, letters) == [
+        (i, alt, pay[letters[:i] + alt + letters[i + 1 :]][i], pay[letters][i])
+        for i in range(4)
+        for alt in sets[i]
+    ]

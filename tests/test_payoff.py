@@ -139,3 +139,42 @@ def test_symmetric_must_be_an_object():
         load_table(json.dumps({"symmetric": "CE"}))
     with pytest.raises(ValidationError, match="symmetric"):
         load_table(json.dumps({"symmetric": [[6, 4, 3, 0], [8, 4, 3, 1]]}))
+
+
+def _symmetric_text(cheap: str) -> str:
+    return '{"symmetric": {"C": [' + cheap + '], "E": [8, 4, 3, 1]}}'
+
+
+# Payoff configs that used to escape as OverflowError, ValueError,
+# UnicodeDecodeError or RecursionError, or (strings, booleans) were read as
+# numbers. Each must now be a ValidationError.
+BAD_PAYOFF_CONFIGS = {
+    "400-digit integer": _symmetric_text("1" + "0" * 400 + ", 4, 3, 0").encode(),
+    "5001-digit integer": _symmetric_text("1" * 5001 + ", 4, 3, 0").encode(),
+    "not UTF-8": b'{"symmetric": {"C": [6, 4, 3, 0], "E": [8, 4, 3, 1]}}\xff',
+    "string utility": _symmetric_text('"6", 4, 3, 0').encode(),
+    "boolean utility": _symmetric_text("6, 4, true, 0").encode(),
+    "deep nesting": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYOFF_CONFIGS))
+def test_bad_payoff_config_is_validation_error(case):
+    data = BAD_PAYOFF_CONFIGS[case]
+    with pytest.raises(ValidationError):
+        load_table(data)
+    if case != "not UTF-8":
+        with pytest.raises(ValidationError):
+            load_table(data.decode())
+
+
+def test_outcome_utilities_must_be_numbers():
+    doc = json.loads(dump_table(builtin_table()))
+    doc["outcomes"]["1001"] = [3, 3, False, 3]
+    with pytest.raises(ValidationError, match="1001"):
+        load_table(json.dumps(doc))
+
+
+def test_utf8_bytes_load_like_text():
+    text = json.dumps({"symmetric": {"C": [6, 4, 3, 0], "E": [8, 4, 3, 1]}})
+    assert np.array_equal(load_table(text.encode()).u, load_table(text).u)

@@ -94,3 +94,13 @@ def test_bad_angle_is_qasm_error_with_line(angle):
     with pytest.raises(QasmError, match="line 5") as exc:
         import_qasm(text)
     assert exc.value.lineno == 5
+
+
+@pytest.mark.parametrize(
+    "line", ["u3(0,0,0) q[{}];", "cz q[0],q[{}];", "measure q[0] -> c[{}];"]
+)
+def test_overlong_register_index_is_qasm_error(line):
+    # int() refuses more than 4,300 digits with a plain ValueError
+    text = export_qasm(Circuit(())) + line.format("1" * 5000) + "\n"
+    with pytest.raises(QasmError, match="line 5"):
+        import_qasm(text)

@@ -7,17 +7,14 @@ from dinerq.statevector import (
     SIGMA_Y,
     StateVector,
     apply_controlled,
-    apply_operator,
     apply_single_qubit,
     equal_up_to_global_phase,
     new_basis_state,
     probabilities,
-    tensor4,
 )
 
 I2 = np.eye(2, dtype=complex)
 E_MATRIX = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-A_MATRIX = np.diag([1.0j, -1.0j])
 
 
 def test_basis_states():
@@ -97,44 +94,9 @@ def test_controlled_gate_involution_exact():
             assert np.max(np.abs(twice.amps - s.amps)) < 1e-12
 
 
-def test_tensor4_identity_and_oracle():
-    assert np.allclose(tensor4(I2, I2, I2, I2), np.eye(16))
-    isy = 1j * SIGMA_Y
-    got = tensor4(isy, isy, isy, isy)
-    want = oracle.kron4(*([oracle.PAULI_Y] * 4))  # i^4 = 1 pulls out
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_tensor4_diagonal_phase():
-    op = tensor4(A_MATRIX, A_MATRIX, A_MATRIX, A_MATRIX)
-    out = apply_operator(new_basis_state(4, 0), op)
-    assert abs(out.amps[0] - 1.0) < 1e-12
-
-
-def test_tensor4_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        tensor4(I2, I2, I2, np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
-def test_apply_operator_entangles():
-    j = oracle.game_operator()
-    out = apply_operator(new_basis_state(4, 0), j)
-    expected = np.zeros(16, complex)
-    expected[0] = 1 / np.sqrt(2)
-    expected[15] = 1j / np.sqrt(2)
-    assert np.max(np.abs(out.amps - expected)) < 1e-12
-    back = apply_operator(out, j.conj().T)
-    assert np.max(np.abs(back.amps - new_basis_state(4, 0).amps)) < 1e-9
-
-
-def test_apply_operator_dimension_mismatch():
-    with pytest.raises(DomainError):
-        apply_operator(new_basis_state(2, 0), np.eye(16))
-
-
 def test_probabilities():
     j = oracle.game_operator()
-    d = probabilities(apply_operator(new_basis_state(4, 0), j))
+    d = probabilities(StateVector(4, j @ new_basis_state(4, 0).amps))
     assert abs(d.p[0] - 0.5) < 1e-12 and abs(d.p[15] - 0.5) < 1e-12
     assert probabilities(new_basis_state(4, 0b0101)).as_dict()["0101"] == 1.0
     d = probabilities(StateVector(2, np.full(4, 0.5)))
