@@ -240,8 +240,10 @@ def compose(circuit: Circuit) -> np.ndarray:
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> dict[str, int]:
     """Reproducible multinomial histogram; nonzero bins keyed by outcome."""
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots < 2**63:  # numpy draws counts as int64
+        raise DomainError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, dist.p / dist.p.sum())
     return {dist.label(k): int(c) for k, c in enumerate(counts) if c > 0}

@@ -16,13 +16,15 @@ undominated) and `find_symmetric_optima` (profiles reaching the best equal
 payoff vector, (6,6,6,6) for the built-in game; there are 8 of them).
 
 Every routine works on one dense array P[s_A, s_B, s_C, s_D, player] built
-from the records; a player's alternatives lie along their own axis of P.
+from the records, once per `analyze`; a player's alternatives lie along their
+own axis of P. The named outcome distributions are built once per process.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +36,7 @@ from .statevector import OutcomeDistribution
 TIE_TOL = 1e-9
 
 LETTER_ORDER = "CEA"
-CLASSICAL_LETTERS = "CE"
-QUANTUM_LETTERS = "CEA"
+MODEL_LETTERS = {"classical": "CE", "quantum": "CEA"}
 
 PLAYER_NAMES = ("Alice", "Bob", "Colin", "Doug")
 
@@ -59,23 +60,24 @@ def classical_distribution(letters: str) -> OutcomeDistribution:
 
 def enumerate_table(model: str, table: PayoffTable) -> list[ProfileRecord]:
     """All profile records for the given model, in deterministic order."""
-    if model == "classical":
-        letter_set = CLASSICAL_LETTERS
-    elif model == "quantum":
-        letter_set = QUANTUM_LETTERS
-    else:
+    if model not in tuple(MODEL_LETTERS):  # a tuple, so unhashable input fails here too
         raise DomainError(f"model must be 'classical' or 'quantum', got {model!r}")
-    combos = ["".join(combo) for combo in itertools.product(letter_set, repeat=4)]
-    if model == "classical":
-        dists = [classical_distribution(letters) for letters in combos]
-    else:
-        params = np.array([[ewl.NAMED_PARAMS[ch] for ch in letters] for letters in combos])
-        probs = ewl.batch_probabilities(params[..., 0], params[..., 1])
-        dists = [OutcomeDistribution(4, p) for p in probs]
     return [
         ProfileRecord(letters, dist, tuple(float(v) for v in expected_payoffs(dist, table)))
-        for letters, dist in zip(combos, dists)
+        for letters, dist in _named_distributions(model)
     ]
+
+
+@lru_cache(maxsize=None)
+def _named_distributions(model: str) -> tuple[tuple[str, OutcomeDistribution], ...]:
+    """(letters, distribution) of every named profile of `model`: built and
+    validated once per process, whatever the payoff table; `p` is read-only."""
+    combos = ["".join(c) for c in itertools.product(MODEL_LETTERS[model], repeat=4)]
+    if model == "classical":
+        return tuple((letters, classical_distribution(letters)) for letters in combos)
+    params = np.array([[ewl.NAMED_PARAMS[ch] for ch in letters] for letters in combos])
+    probs = ewl.batch_probabilities(params[..., 0], params[..., 1])
+    return tuple(zip(combos, (OutcomeDistribution(4, p) for p in probs)))
 
 
 def _payoff_array(records: list[ProfileRecord]) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
@@ -111,7 +113,10 @@ def _own_axis(P: np.ndarray, player: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def find_nash(records: list[ProfileRecord], strict: bool = True) -> list[str]:
     """Nash equilibria. Strict: every deviation strictly hurts the deviator;
     weak (strict=False): no deviation strictly helps."""
-    P, _, profiles = _payoff_array(records)
+    return _nash(*_payoff_array(records), strict)
+
+
+def _nash(P, sets, profiles, strict):
     stable = np.ones(P.shape[:4], dtype=bool)
     for player in range(4):
         after, before, same = _own_axis(P, player)
@@ -124,16 +129,21 @@ def find_nash(records: list[ProfileRecord], strict: bool = True) -> list[str]:
 def find_pareto_standard(records: list[ProfileRecord]) -> list[str]:
     """Profiles whose payoff vector no other profile weakly dominates with at
     least one strict improvement."""
-    P, _, profiles = _payoff_array(records)
-    v = P.reshape(-1, 1, 4)  # v[p] against every w[q]
-    w = P.reshape(1, -1, 4)
+    return _pareto(*_payoff_array(records))
+
+
+def _pareto(P, sets, profiles):
+    v, w = P.reshape(-1, 1, 4), P.reshape(1, -1, 4)  # v[p] against every w[q]
     beaten = np.all(w >= v - TIE_TOL, axis=2) & np.any(w > v + TIE_TOL, axis=2)
     return [p for p, dominated in zip(profiles, beaten.any(axis=1)) if not dominated]
 
 
 def find_symmetric_optima(records: list[ProfileRecord]) -> list[str]:
     """Profiles achieving the maximal equal payoff vector (v, v, v, v)."""
-    P, _, profiles = _payoff_array(records)
+    return _symmetric_optima(*_payoff_array(records))
+
+
+def _symmetric_optima(P, sets, profiles):
     v = P.reshape(-1, 4)
     symmetric = v.max(axis=1) - v.min(axis=1) <= TIE_TOL
     if not symmetric.any():
@@ -147,15 +157,17 @@ def best_response(
 ) -> list[str]:
     """All strategies maximizing `player`'s payoff against fixed opponents
     (ties within tolerance all returned)."""
-    P, sets, _ = _payoff_array(records)
+    return _best_response(*_payoff_array(records), player, opponents)
+
+
+def _best_response(P, sets, profiles, player, opponents):
     if not 0 <= player <= 3:
         raise DomainError(f"player index must be 0..3, got {player}")
     others = [i for i in range(4) if i != player]
     if len(opponents) != 3 or any(ch not in tuple(sets[i]) for ch, i in zip(opponents, others)):
         raise DomainError(f"opponents must be 3 analyzed strategies, got {opponents!r}")
-    at: list = [slice(None)] * 4
-    for ch, i in zip(opponents, others):
-        at[i] = sets[i].index(ch)
+    at: list = [sets[i].index(ch) for ch, i in zip(opponents, others)]
+    at.insert(player, slice(None))
     values = P[tuple(at) + (player,)]
     best = values.max()
     return [s for s, v in zip(sets[player], values) if v >= best - TIE_TOL]
@@ -164,7 +176,10 @@ def best_response(
 def dominant_strategies(records: list[ProfileRecord]) -> tuple[str | None, ...]:
     """Per player: the strategy that is weakly best against every opponent
     combination and strictly best for at least one, or None."""
-    P, sets, _ = _payoff_array(records)
+    return _dominant(*_payoff_array(records))
+
+
+def _dominant(P, sets, profiles):
     result: list[str | None] = []
     for player in range(4):
         after, before, _ = _own_axis(P, player)
@@ -181,7 +196,10 @@ def deviation_values(
 ) -> list[tuple[int, str, float, float]]:
     """Every unilateral substitution at `letters`, the current strategy
     included: (player, alternative, deviator's payoff after, payoff before)."""
-    P, sets, profiles = _payoff_array(records)
+    return _deviation_values(*_payoff_array(records), letters)
+
+
+def _deviation_values(P, sets, profiles, letters):
     if letters not in profiles:
         raise DomainError(f"profile {letters!r} is not in the analyzed set")
     at = np.unravel_index(profiles.index(letters), P.shape[:4])
@@ -197,10 +215,12 @@ def profitable_deviation(
 ) -> tuple[int, str, float, float] | None:
     """A witness (player, alternative, new payoff, old payoff) showing that
     `letters` is not even a weak equilibrium, or None."""
-    for player, alt, after, before in deviation_values(records, letters):
-        if after > before + TIE_TOL:
-            return (player, alt, after, before)
-    return None
+    return _profitable_deviation(*_payoff_array(records), letters)
+
+
+def _profitable_deviation(P, sets, profiles, letters):
+    devs = _deviation_values(P, sets, profiles, letters)
+    return next(((i, alt, a, b) for i, alt, a, b in devs if a > b + TIE_TOL), None)
 
 
 @dataclass(frozen=True)
@@ -218,17 +238,15 @@ class EquilibriumReport:
 
 
 def analyze(records: list[ProfileRecord], model: str) -> EquilibriumReport:
-    _, sets, _ = _payoff_array(records)
-    aaaa = None
-    if all("A" in s for s in sets):
-        aaaa = tuple(deviation_values(records, "AAAA"))
+    game = _payoff_array(records)
+    aaaa = tuple(_deviation_values(*game, "AAAA")) if "AAAA" in game[2] else None
     return EquilibriumReport(
         model=model,
-        nash=tuple(find_nash(records, strict=True)),
-        weak_nash=tuple(find_nash(records, strict=False)),
-        pareto_standard=tuple(find_pareto_standard(records)),
-        symmetric_optima=tuple(find_symmetric_optima(records)),
-        dominant=dominant_strategies(records),
+        nash=tuple(_nash(*game, strict=True)),
+        weak_nash=tuple(_nash(*game, strict=False)),
+        pareto_standard=tuple(_pareto(*game)),
+        symmetric_optima=tuple(_symmetric_optima(*game)),
+        dominant=_dominant(*game),
         aaaa_deviations=aaaa,
-        eeee_witness=profitable_deviation(records, "EEEE"),
+        eeee_witness=_profitable_deviation(*game, "EEEE"),
     )

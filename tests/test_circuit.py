@@ -157,6 +157,14 @@ def test_sample_rejects_zero_shots():
         sample(dist, 0, seed=1)
 
 
+def test_sample_bounds_shots_and_seed():
+    dist = OutcomeDistribution(4, np.eye(16)[0])
+    assert sample(dist, 2**63 - 1, seed=0) == {"0000": 2**63 - 1}
+    for shots, seed in [(2**63, 1), (10**20, 1), (10, -1)]:
+        with pytest.raises(DomainError):
+            sample(dist, shots, seed)
+
+
 def test_measure_remapping():
     # swapped classical bits permute the recorded string
     gates = (

@@ -63,6 +63,32 @@ def test_shots_without_seed_fails(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize(
+    "shots,seed,message",
+    [
+        ("10", "-1", "seed must be >= 0"),
+        (str(2**63), "1", "shots must be in"),
+        ("99999999999999999999", "1", "shots must be in"),
+    ],
+)
+def test_bad_shots_or_seed_is_error_exit(capsys, shots, seed, message):
+    code, out, err = run_cli(
+        capsys, "simulate", "--profile", "A,A,A,A", "--shots", shots, "--seed", seed
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_largest_shot_count_is_accepted(capsys):
+    # The point mass puts every shot in one bin, so no large histogram is drawn.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--profile", "C,C,C,C", "--model", "classical",
+        "--shots", str(2**63 - 1), "--seed", "1", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["counts"] == {"0000": 2**63 - 1}
+
+
 def test_bad_profile_token_fails(capsys):
     code, _, err = run_cli(capsys, "simulate", "--profile", "C,E,C,Q")
     assert code == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from dinerq import equilibrium
 from dinerq.equilibrium import (
     ProfileRecord,
     analyze,
@@ -19,6 +20,7 @@ from dinerq.equilibrium import (
     profitable_deviation,
 )
 from dinerq.errors import DomainError, ValidationError
+from dinerq.payoff import PayoffTable, from_symmetric
 from dinerq.statevector import OutcomeDistribution
 
 # the 8 profiles reaching (6,6,6,6): {C,A}^4 with an even number of A's
@@ -59,6 +61,8 @@ def test_enumerate_is_deterministic(table, quantum_records):
 def test_enumerate_rejects_unknown_model(table):
     with pytest.raises(DomainError):
         enumerate_table("mixed", table)
+    with pytest.raises(DomainError):
+        enumerate_table(["quantum"], table)
 
 
 def test_quantum_rows_match_oracle(quantum_records):
@@ -244,3 +248,126 @@ def test_routines_match_loop_reference(sets, seed, values):
         for i in range(4)
         for alt in sets[i]
     ]
+
+
+# --- metamorphic relations on integer tables ----------------------------------
+# Integer utilities keep every payoff gap at 0 or at least 1, far from TIE_TOL,
+# so a relation that holds for exact payoffs must hold bit for bit here.
+
+MODELS = ("classical", "quantum")
+SWAP_CE = str.maketrans("CE", "EC")
+
+
+def integer_table(rng) -> np.ndarray:
+    """A random 16x4 integer table, half the time in symmetric form."""
+    if rng.integers(2):
+        return rng.integers(-9, 10, size=(16, 4))
+    return from_symmetric(rng.integers(-9, 10, size=4), rng.integers(-9, 10, size=4)).u
+
+
+def equilibrium_sets(model: str, u: np.ndarray) -> tuple:
+    records = enumerate_table(model, PayoffTable(u))
+    return (
+        find_nash(records),
+        find_nash(records, strict=False),
+        find_pareto_standard(records),
+        dominant_strategies(records),
+    )
+
+
+def permute_players(u: np.ndarray, perm) -> np.ndarray:
+    """The table in which player k is player perm[k] of `u`."""
+    out = np.empty_like(u)
+    for outcome in range(16):
+        bits = format(outcome, "04b")
+        moved = int("".join(bits[perm[k]] for k in range(4)), 2)
+        out[moved] = [u[outcome, perm[k]] for k in range(4)]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MODELS))
+def test_positive_affine_utilities_keep_every_set(seed, model):
+    rng = np.random.default_rng(seed)
+    u = integer_table(rng)
+    a, b = rng.integers(1, 6, size=4), rng.integers(-20, 21, size=4)
+    assert equilibrium_sets(model, a * u + b) == equilibrium_sets(model, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MODELS), st.permutations(range(4)))
+def test_permuting_players_permutes_every_set(seed, model, perm):
+    u = integer_table(np.random.default_rng(seed))
+    nash, weak, pareto, dominant = equilibrium_sets(model, u)
+    p_nash, p_weak, p_pareto, p_dominant = equilibrium_sets(model, permute_players(u, perm))
+
+    def moved(profiles):
+        return {"".join(p[perm[k]] for k in range(4)) for p in profiles}
+
+    assert set(p_nash) == moved(nash)
+    assert set(p_weak) == moved(weak)
+    assert set(p_pareto) == moved(pareto)
+    assert p_dominant == tuple(dominant[perm[k]] for k in range(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_complementing_outcomes_swaps_c_and_e(seed):
+    u = integer_table(np.random.default_rng(seed))
+    nash, weak, pareto, dominant = equilibrium_sets("classical", u)
+    c_nash, c_weak, c_pareto, c_dominant = equilibrium_sets("classical", u[np.arange(16) ^ 15])
+    assert set(c_nash) == {p.translate(SWAP_CE) for p in nash}
+    assert set(c_weak) == {p.translate(SWAP_CE) for p in weak}
+    assert set(c_pareto) == {p.translate(SWAP_CE) for p in pareto}
+    assert c_dominant == tuple(s and s.translate(SWAP_CE) for s in dominant)
+
+
+# --- one game per process, one payoff array per analysis ----------------------
+
+
+def test_analyze_builds_the_payoff_array_once(quantum_records, monkeypatch):
+    calls = []
+    build = equilibrium._payoff_array
+    monkeypatch.setattr(
+        equilibrium, "_payoff_array", lambda records: calls.append(1) or build(records)
+    )
+    analyze(quantum_records, "quantum")
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MODELS))
+def test_analyze_equals_public_routines(seed, model):
+    records = enumerate_table(model, PayoffTable(integer_table(np.random.default_rng(seed))))
+    report = analyze(records, model)
+    assert report.model == model
+    assert report.nash == tuple(find_nash(records))
+    assert report.weak_nash == tuple(find_nash(records, strict=False))
+    assert report.pareto_standard == tuple(find_pareto_standard(records))
+    assert report.symmetric_optima == tuple(find_symmetric_optima(records))
+    assert report.dominant == dominant_strategies(records)
+    aaaa = tuple(deviation_values(records, "AAAA")) if model == "quantum" else None
+    assert report.aaaa_deviations == aaaa
+    assert report.eeee_witness == profitable_deviation(records, "EEEE")
+
+
+def test_tables_share_read_only_distributions(table):
+    other = PayoffTable(integer_table(np.random.default_rng(5)))
+    for model in MODELS:
+        for a, b in zip(enumerate_table(model, table), enumerate_table(model, other)):
+            assert a.distribution is b.distribution
+            assert not a.distribution.p.flags.writeable
+            with pytest.raises(ValueError):
+                a.distribution.p[0] = 0.5
+
+
+def test_cached_rows_match_oracle_after_other_tables(table):
+    rng = np.random.default_rng(11)
+    for model in MODELS:
+        for _ in range(3):
+            enumerate_table(model, PayoffTable(integer_table(rng)))
+    for model in MODELS:
+        for r in enumerate_table(model, table):
+            dist = oracle.distribution(r.letters)
+            assert np.max(np.abs(r.distribution.p - dist)) < 1e-12
+            assert np.max(np.abs(np.array(r.payoffs) - oracle.payoffs(dist))) < 1e-9

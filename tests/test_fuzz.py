@@ -110,14 +110,28 @@ def _run_main(argv) -> int:
         return exc.code
 
 
+# --shots and --seed around their bounds: seeds are >= 0, shots in [1, 2**63 - 1].
+shot_counts = st.sampled_from([None, "-1", "0", "1", "10", str(2**63 - 1), str(2**63), "9" * 20])
+seeds = st.sampled_from([None, "-1", "0", "7", str(2**64)])
+
+
 @FUZZ
 @given(
     text=profile_texts,
     command=st.sampled_from(["simulate", "export-qasm", "sweep"]),
     model=st.sampled_from(["classical", "quantum"]),
     steps=st.tuples(st.integers(-1, 6), st.integers(-1, 6)),
+    shots=shot_counts,
+    seed=seeds,
 )
-def test_profile_tokens_raise_only_game_error(text, command, model, steps):
+@example(text="A,A,A,A", command="simulate", model="quantum", steps=(2, 2), shots="10", seed="-1")
+@example(text="A,A,A,A", command="simulate", model="quantum", steps=(2, 2), shots=str(2**63), seed="1")
+@example(text="A,A,A,A", command="simulate", model="quantum", steps=(2, 2), shots="9" * 20, seed="1")
+@example(
+    text="C,E,A,theta=1:phi=0.5", command="simulate", model="quantum", steps=(2, 2),
+    shots=str(2**63 - 1), seed="1",
+)
+def test_profile_tokens_raise_only_game_error(text, command, model, steps, shots, seed):
     try:
         parse_profile(text)
     except GameError:
@@ -127,6 +141,8 @@ def test_profile_tokens_raise_only_game_error(text, command, model, steps):
                 "--theta-steps", str(steps[0]), "--phi-steps", str(steps[1])]
     elif command == "simulate":
         argv = ["simulate", "--profile", text, "--model", model, "--format", "json"]
+        argv += ["--shots", shots] if shots is not None else []
+        argv += ["--seed", seed] if seed is not None else []
     else:
         argv = ["export-qasm", "--profile", text]
     assert _run_main(argv) in (0, 1, 2)
