@@ -16,15 +16,13 @@ undominated) and `find_symmetric_optima` (profiles reaching the best equal
 payoff vector, (6,6,6,6) for the built-in game; there are 8 of them).
 
 Every routine works on one dense array P[s_A, s_B, s_C, s_D, player] built
-from the records, once per `analyze`; a player's alternatives lie along their
-own axis of P. The named outcome distributions are built once per process.
+from the records; a player's alternatives lie along their own axis of P.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +34,8 @@ from .statevector import OutcomeDistribution
 TIE_TOL = 1e-9
 
 LETTER_ORDER = "CEA"
-MODEL_LETTERS = {"classical": "CE", "quantum": "CEA"}
+CLASSICAL_LETTERS = "CE"
+QUANTUM_LETTERS = "CEA"
 
 PLAYER_NAMES = ("Alice", "Bob", "Colin", "Doug")
 
@@ -60,24 +59,23 @@ def classical_distribution(letters: str) -> OutcomeDistribution:
 
 def enumerate_table(model: str, table: PayoffTable) -> list[ProfileRecord]:
     """All profile records for the given model, in deterministic order."""
-    if model not in tuple(MODEL_LETTERS):  # a tuple, so unhashable input fails here too
+    if model == "classical":
+        letter_set = CLASSICAL_LETTERS
+    elif model == "quantum":
+        letter_set = QUANTUM_LETTERS
+    else:
         raise DomainError(f"model must be 'classical' or 'quantum', got {model!r}")
+    combos = ["".join(combo) for combo in itertools.product(letter_set, repeat=4)]
+    if model == "classical":
+        dists = [classical_distribution(letters) for letters in combos]
+    else:
+        params = np.array([[ewl.NAMED_PARAMS[ch] for ch in letters] for letters in combos])
+        probs = ewl.batch_probabilities(params[..., 0], params[..., 1])
+        dists = [OutcomeDistribution(4, p) for p in probs]
     return [
         ProfileRecord(letters, dist, tuple(float(v) for v in expected_payoffs(dist, table)))
-        for letters, dist in _named_distributions(model)
+        for letters, dist in zip(combos, dists)
     ]
-
-
-@lru_cache(maxsize=None)
-def _named_distributions(model: str) -> tuple[tuple[str, OutcomeDistribution], ...]:
-    """(letters, distribution) of every named profile of `model`: built and
-    validated once per process, whatever the payoff table; `p` is read-only."""
-    combos = ["".join(c) for c in itertools.product(MODEL_LETTERS[model], repeat=4)]
-    if model == "classical":
-        return tuple((letters, classical_distribution(letters)) for letters in combos)
-    params = np.array([[ewl.NAMED_PARAMS[ch] for ch in letters] for letters in combos])
-    probs = ewl.batch_probabilities(params[..., 0], params[..., 1])
-    return tuple(zip(combos, (OutcomeDistribution(4, p) for p in probs)))
 
 
 def _payoff_array(records: list[ProfileRecord]) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
@@ -133,7 +131,8 @@ def find_pareto_standard(records: list[ProfileRecord]) -> list[str]:
 
 
 def _pareto(P, sets, profiles):
-    v, w = P.reshape(-1, 1, 4), P.reshape(1, -1, 4)  # v[p] against every w[q]
+    v = P.reshape(-1, 1, 4)  # v[p] against every w[q]
+    w = P.reshape(1, -1, 4)
     beaten = np.all(w >= v - TIE_TOL, axis=2) & np.any(w > v + TIE_TOL, axis=2)
     return [p for p, dominated in zip(profiles, beaten.any(axis=1)) if not dominated]
 
@@ -157,17 +156,15 @@ def best_response(
 ) -> list[str]:
     """All strategies maximizing `player`'s payoff against fixed opponents
     (ties within tolerance all returned)."""
-    return _best_response(*_payoff_array(records), player, opponents)
-
-
-def _best_response(P, sets, profiles, player, opponents):
+    P, sets, _ = _payoff_array(records)
     if not 0 <= player <= 3:
         raise DomainError(f"player index must be 0..3, got {player}")
     others = [i for i in range(4) if i != player]
     if len(opponents) != 3 or any(ch not in tuple(sets[i]) for ch, i in zip(opponents, others)):
         raise DomainError(f"opponents must be 3 analyzed strategies, got {opponents!r}")
-    at: list = [sets[i].index(ch) for ch, i in zip(opponents, others)]
-    at.insert(player, slice(None))
+    at: list = [slice(None)] * 4
+    for ch, i in zip(opponents, others):
+        at[i] = sets[i].index(ch)
     values = P[tuple(at) + (player,)]
     best = values.max()
     return [s for s, v in zip(sets[player], values) if v >= best - TIE_TOL]
@@ -219,8 +216,10 @@ def profitable_deviation(
 
 
 def _profitable_deviation(P, sets, profiles, letters):
-    devs = _deviation_values(P, sets, profiles, letters)
-    return next(((i, alt, a, b) for i, alt, a, b in devs if a > b + TIE_TOL), None)
+    for player, alt, after, before in _deviation_values(P, sets, profiles, letters):
+        if after > before + TIE_TOL:
+            return (player, alt, after, before)
+    return None
 
 
 @dataclass(frozen=True)

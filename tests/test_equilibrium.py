@@ -322,7 +322,7 @@ def test_complementing_outcomes_swaps_c_and_e(seed):
     assert c_dominant == tuple(s and s.translate(SWAP_CE) for s in dominant)
 
 
-# --- one game per process, one payoff array per analysis ----------------------
+# --- one payoff array per analysis -------------------------------------------
 
 
 def test_analyze_builds_the_payoff_array_once(quantum_records, monkeypatch):
@@ -349,25 +349,3 @@ def test_analyze_equals_public_routines(seed, model):
     aaaa = tuple(deviation_values(records, "AAAA")) if model == "quantum" else None
     assert report.aaaa_deviations == aaaa
     assert report.eeee_witness == profitable_deviation(records, "EEEE")
-
-
-def test_tables_share_read_only_distributions(table):
-    other = PayoffTable(integer_table(np.random.default_rng(5)))
-    for model in MODELS:
-        for a, b in zip(enumerate_table(model, table), enumerate_table(model, other)):
-            assert a.distribution is b.distribution
-            assert not a.distribution.p.flags.writeable
-            with pytest.raises(ValueError):
-                a.distribution.p[0] = 0.5
-
-
-def test_cached_rows_match_oracle_after_other_tables(table):
-    rng = np.random.default_rng(11)
-    for model in MODELS:
-        for _ in range(3):
-            enumerate_table(model, PayoffTable(integer_table(rng)))
-    for model in MODELS:
-        for r in enumerate_table(model, table):
-            dist = oracle.distribution(r.letters)
-            assert np.max(np.abs(r.distribution.p - dist)) < 1e-12
-            assert np.max(np.abs(np.array(r.payoffs) - oracle.payoffs(dist))) < 1e-9
