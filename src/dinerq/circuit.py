@@ -25,6 +25,7 @@ to U3(θ, π-φ, π-φ), again up to a global phase.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,8 +40,6 @@ from .statevector import (
     apply_controlled,
     apply_single_qubit,
     equal_up_to_global_phase,
-    new_basis_state,
-    probabilities,
 )
 
 N_QUBITS = 4
@@ -136,8 +135,8 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array(
         [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+            [c, -cmath.exp(1j * lam) * s],
+            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
         ]
     )
 
@@ -196,46 +195,44 @@ def build_game_circuit(profile: ewl.StrategyProfile) -> Circuit:
     return Circuit(tuple(gates))
 
 
-def _run_gates(circuit: Circuit, k: int) -> StateVector:
-    """The circuit's unitary gates applied, one by one, to basis state |k>."""
-    state = new_basis_state(circuit.n_qubits, k)
+def _run_gates(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
+    """The circuit's unitary gates applied, in one pass, to every column."""
+    psi = columns
     for g in circuit.unitary_gates():
         if isinstance(g, U3Gate):
-            state = apply_single_qubit(state, u3_matrix(g.theta, g.phi, g.lam), g.target)
+            psi = apply_single_qubit(psi, u3_matrix(g.theta, g.phi, g.lam), g.target)
         elif isinstance(g, CZGate):
-            state = apply_controlled(state, "cz", g.a, g.b)
+            psi = apply_controlled(psi, "cz", g.a, g.b)
         else:
-            state = apply_controlled(state, "cnot", g.control, g.target)
-    return state
+            psi = apply_controlled(psi, "cnot", g.control, g.target)
+    return psi
 
 
 def simulate_circuit(circuit: Circuit) -> OutcomeDistribution:
     """Exact Born distribution of the circuit applied to |0...0>."""
-    dist = probabilities(_run_gates(circuit, 0))
+    n = circuit.n_qubits
+    state = StateVector(n, _run_gates(circuit, np.eye(1, 2**n, dtype=complex)[0]))
+    p = np.abs(state.amps) ** 2
     measures = circuit.measures()
     if not measures:
-        return dist
+        return OutcomeDistribution(n, p)
     if len({m.qubit for m in measures}) != len(measures) or len(
         {m.cbit for m in measures}
     ) != len(measures):
         raise ValidationError("duplicate qubit or classical bit in measurements")
-    if len(measures) != circuit.n_qubits:
+    if len(measures) != n:
         raise ValidationError("partial measurement is not supported")
     # outcome bit cbit is read from qubit (big-endian labels on both sides)
-    n = circuit.n_qubits
-    p = np.zeros_like(dist.p)
-    for k in range(2**n):
-        j = 0
-        for m in measures:
-            bit = (k >> (n - 1 - m.qubit)) & 1
-            j |= bit << (n - 1 - m.cbit)
-        p[j] += dist.p[k]
-    return OutcomeDistribution(n, p)
+    k = np.arange(2**n)
+    j = sum(((k >> (n - 1 - m.qubit)) & 1) << (n - 1 - m.cbit) for m in measures)
+    remapped = np.empty_like(p)
+    remapped[j] = p
+    return OutcomeDistribution(n, remapped)
 
 
 def compose(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit's gate list (measurements excluded)."""
-    return np.column_stack([_run_gates(circuit, k).amps for k in range(2**circuit.n_qubits)])
+    return _run_gates(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> dict[str, int]:

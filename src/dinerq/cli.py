@@ -314,13 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=False, model=True):
+    def common(p, profile=False, models=("classical", "quantum")):
+        """Add the flags the command reads; an empty `models` means no
+        --model, --payoffs or --format (export-qasm writes QASM only)."""
         if profile:
             p.add_argument("--profile", required=True, help="e.g. C,E,C,E or theta=1.2:phi=0.3 per player")
-        if model:
-            p.add_argument("--model", choices=["classical", "quantum"], default="quantum")
-        p.add_argument("--payoffs", help="JSON payoff-table file (default: built-in game)")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        if models:
+            p.add_argument("--model", choices=models, default="quantum")
+            p.add_argument("--payoffs", help="JSON payoff-table file (default: built-in game)")
+            p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("simulate", help="distribution and payoffs of one profile")
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_analyze)
 
     p = sub.add_parser("sweep", help="payoff grid over one player's (theta, phi)")
-    common(p)
+    common(p, models=("quantum",))  # a classical game has no (theta, phi) landscape
     p.add_argument("--player", choices=list("ABCD"), required=True)
     p.add_argument("--others", required=True, help="3 named strategies, e.g. EEE")
     p.add_argument("--theta-steps", type=int, default=9)
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_sweep)
 
     p = sub.add_parser("export-qasm", help="QASM 2.0 text of the game circuit")
-    common(p, profile=True, model=False)
+    common(p, profile=True, models=())
     p.set_defaults(func=run_export_qasm)
 
     return parser

@@ -5,10 +5,11 @@ Conventions:
   bit of the outcome string. For the four-player game, qubit 0 is Alice and
   qubit 3 is Doug, so index 0b0001 is the outcome "0001" (only Doug expensive).
   IBM-style histograms display the reversed string; we always print big-endian.
-- Gates are applied qubit-wise, one at a time; this is the gate-level path
-  of `circuit`. The EWL pipeline uses the closed-form kernel in `ewl`.
-- Tolerances: 1e-9 for analytic identities (normalization, unitarity),
-  1e-12 for pure arithmetic equalities.
+- Gates act on raw amplitude arrays of shape (2^n,) or (2^n, k), one column
+  per state, with no validation between gates; this is the gate-level path of
+  `circuit`, which wraps the final column in one `StateVector`. The EWL
+  pipeline uses the closed-form kernel in `ewl`.
+- Tolerance: 1e-9 for analytic identities (normalization, unitarity).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 ATOL_ANALYTIC = 1e-9
-ATOL_EXACT = 1e-12
 
 MAX_QUBITS = 20  # dense amplitudes; 2^20 complex doubles is the ceiling
 
@@ -86,64 +86,38 @@ class OutcomeDistribution:
         return self.label(int(np.argmax(self.p)))
 
 
-def new_basis_state(n: int, index: int) -> StateVector:
-    """Computational basis state |index> on n qubits."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise DomainError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    if not 0 <= index < 2**n:
-        raise DomainError(f"basis index {index} out of range for n={n}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(n, amps)
+def _qubit_count(psi: np.ndarray, *qubits: int) -> int:
+    """n for amplitudes of shape (2^n, ...), after checking each qubit index."""
+    n = psi.shape[0].bit_length() - 1
+    for q in qubits:
+        if not 0 <= q < n:
+            raise DomainError(f"qubit {q} out of range for n={n}")
+    return n
 
 
-def _check_qubit(n: int, qubit: int) -> None:
-    if not 0 <= qubit < n:
-        raise DomainError(f"qubit {qubit} out of range for n={n}")
+def apply_single_qubit(psi: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
+    """(I ⊗ ... ⊗ u ⊗ ... ⊗ I) applied to every column of psi."""
+    _qubit_count(psi, qubit)
+    # Row index splits as (bits before qubit, qubit's bit, bits after).
+    return (u @ psi.reshape(2**qubit, 2, -1)).reshape(psi.shape)
 
 
-def apply_single_qubit(state: StateVector, u: np.ndarray, qubit: int) -> StateVector:
-    """Apply a 2x2 unitary to one qubit: (I ⊗ ... ⊗ u ⊗ ... ⊗ I)|state>."""
-    _check_qubit(state.n, qubit)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DomainError(f"single-qubit gate must be 2x2, got {u.shape}")
-    psi = state.amps.reshape([2] * state.n)
-    # Reshaped axis q holds qubit q's bit (big-endian index layout).
-    psi = np.tensordot(u, psi, axes=([1], [qubit]))
-    psi = np.moveaxis(psi, 0, qubit)
-    return StateVector(state.n, psi.reshape(-1))
-
-
-def apply_controlled(state: StateVector, kind: str, control: int, target: int) -> StateVector:
-    """Apply a CZ or CNOT gate; `kind` is "cz" or "cnot" (alias "cx")."""
-    _check_qubit(state.n, control)
-    _check_qubit(state.n, target)
+def apply_controlled(psi: np.ndarray, kind: str, control: int, target: int) -> np.ndarray:
+    """Apply a CZ or CNOT gate to every column of psi; `kind` is "cz" or
+    "cnot" (alias "cx")."""
+    n = _qubit_count(psi, control, target)
     if control == target:
         raise DomainError("control and target must differ")
-    psi = state.amps.reshape([2] * state.n).copy()
-    sel = [slice(None)] * state.n
+    rows = np.arange(2**n)
+    flip = ((rows >> (n - 1 - control)) & 1) << (n - 1 - target)  # target bit where control is 1
     kind = kind.lower()
     if kind == "cz":
-        sel[control] = 1
-        sel[target] = 1
-        psi[tuple(sel)] *= -1.0
-    elif kind in ("cnot", "cx"):
-        sel[control] = 1
-        sel0 = list(sel)
-        sel1 = list(sel)
-        sel0[target] = 0
-        sel1[target] = 1
-        lo, hi = psi[tuple(sel0)].copy(), psi[tuple(sel1)].copy()
-        psi[tuple(sel0)], psi[tuple(sel1)] = hi, lo
-    else:
-        raise DomainError(f"unknown controlled gate kind {kind!r}")
-    return StateVector(state.n, psi.reshape(-1))
-
-
-def probabilities(state: StateVector) -> OutcomeDistribution:
-    """Born-rule outcome distribution p[k] = |amps[k]|^2."""
-    return OutcomeDistribution(state.n, np.abs(state.amps) ** 2)
+        out = psi.copy()
+        out[(rows & flip) != 0] *= -1.0
+        return out
+    if kind in ("cnot", "cx"):
+        return psi[rows ^ flip]
+    raise DomainError(f"unknown controlled gate kind {kind!r}")
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL_ANALYTIC) -> bool:

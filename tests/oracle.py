@@ -27,13 +27,40 @@ def kron4(a, b, c, d) -> np.ndarray:
     return kron(kron(kron(a, b), c), d)
 
 
-def embed_single(u: np.ndarray, qubit: int, n: int = 4) -> np.ndarray:
-    mats = [IDENTITY] * n
-    mats[qubit] = u
+def embed(ops: dict, n: int = 4) -> np.ndarray:
+    """Kronecker product with ops[q] on qubit q and the identity elsewhere."""
+    mats = [ops.get(q, IDENTITY) for q in range(n)]
     out = mats[0]
     for m in mats[1:]:
         out = kron(out, m)
     return out
+
+
+def embed_single(u: np.ndarray, qubit: int, n: int = 4) -> np.ndarray:
+    return embed({qubit: u}, n)
+
+
+def u3(theta: float, phi: float, lam: float) -> np.ndarray:
+    """The u3 gate in the package's convention, written out entry by entry."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array(
+        [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
+    )
+
+
+PROJECT_0 = np.diag([1.0, 0.0]).astype(complex)
+PROJECT_1 = np.diag([0.0, 1.0]).astype(complex)
+CONTROLLED_TARGET = {
+    "cnot": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "cz": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def embed_controlled(kind: str, control: int, target: int, n: int = 4) -> np.ndarray:
+    """|0><0| on control ⊗ I  +  |1><1| on control ⊗ X (cnot) or Z (cz) on target."""
+    return embed({control: PROJECT_0}, n) + embed(
+        {control: PROJECT_1, target: CONTROLLED_TARGET[kind]}, n
+    )
 
 
 def strategy_matrix(theta: float, phi: float) -> np.ndarray:
@@ -99,6 +126,11 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
 def random_state(rng: np.random.Generator, n: int = 4) -> np.ndarray:
     z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return z / np.linalg.norm(z)
+
+
+def random_states(rng: np.random.Generator, k: int, n: int = 4) -> np.ndarray:
+    """k random normalized states as the columns of a (2**n, k) array."""
+    return np.column_stack([random_state(rng, n) for _ in range(k)])
 
 
 # --- equilibrium routines as explicit loops over a letters -> payoffs dict ----

@@ -27,7 +27,7 @@ from dinerq.equilibrium import (
 )
 from dinerq.payoff import builtin_table
 from dinerq.qasm import export_qasm, import_qasm
-from dinerq.statevector import StateVector, apply_single_qubit
+from dinerq.statevector import apply_single_qubit
 
 
 def report(criterion: str):
@@ -159,17 +159,17 @@ def test_criterion_10_property_suites():
         psi = oracle.random_state(rng)
         u = oracle.random_unitary(rng)
         qubit = int(rng.integers(4))
-        s = apply_single_qubit(StateVector(4, psi), u, qubit)
-        assert abs(np.sum(np.abs(s.amps) ** 2) - 1.0) < 1e-9
+        s = apply_single_qubit(psi, u, qubit)
+        assert abs(np.sum(np.abs(s) ** 2) - 1.0) < 1e-9
         back = apply_single_qubit(s, u.conj().T, qubit)
-        assert np.max(np.abs(back.amps - psi)) < 1e-9
+        assert np.max(np.abs(back - psi)) < 1e-9
 
     # qubit-wise application vs dense Kronecker oracle
     for _ in range(100):
         psi = oracle.random_state(rng)
         u = oracle.random_unitary(rng)
         qubit = int(rng.integers(4))
-        fast = apply_single_qubit(StateVector(4, psi), u, qubit).amps
+        fast = apply_single_qubit(psi, u, qubit)
         dense = oracle.embed_single(u, qubit) @ psi
         assert np.max(np.abs(fast - dense)) < 1e-12
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
+from dinerq import circuit as circuit_mod
 from dinerq import ewl
 from dinerq.circuit import (
     Circuit,
@@ -157,6 +158,11 @@ def test_sample_rejects_zero_shots():
         sample(dist, 0, seed=1)
 
 
+def test_sample_accepts_one_shot():
+    dist = OutcomeDistribution(4, np.eye(16)[0b1010])
+    assert sample(dist, 1, seed=0) == {"1010": 1}
+
+
 def test_sample_bounds_shots_and_seed():
     dist = OutcomeDistribution(4, np.eye(16)[0])
     assert sample(dist, 2**63 - 1, seed=0) == {"0000": 2**63 - 1}
@@ -182,3 +188,68 @@ def test_compose_against_oracle_embedding():
     got = compose(Circuit((g,)))
     want = oracle.embed_single(u3_matrix(0.7, 0.3, -0.2), 2)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _dense(circuit: Circuit) -> np.ndarray:
+    """Product of the 16x16 matrices of the circuit's gates, from the oracle."""
+    out = np.eye(16, dtype=complex)
+    for g in circuit.unitary_gates():
+        if isinstance(g, U3Gate):
+            m = oracle.embed_single(oracle.u3(g.theta, g.phi, g.lam), g.target)
+        elif isinstance(g, CZGate):
+            m = oracle.embed_controlled("cz", g.a, g.b)
+        else:
+            m = oracle.embed_controlled("cnot", g.control, g.target)
+        out = m @ out
+    return out
+
+
+GATE_LOOP_CIRCUITS = {
+    "entangler": entangler_circuit(),
+    "CEAA": build_game_circuit(ewl.StrategyProfile.from_letters("CEAA")),
+    "parametric": build_game_circuit(
+        ewl.StrategyProfile(
+            ewl.Strategy.parametric(0.3, 1.2), ewl.E, ewl.Strategy.parametric(2.5, 0.1), ewl.A
+        )
+    ),
+    "cz": Circuit((U3Gate(1.1, 0.2, -0.7, 0), U3Gate(0.4, 2.0, 1.0, 3), CZGate(3, 0),
+                   CNOTGate(0, 2), CZGate(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_LOOP_CIRCUITS))
+def test_compose_matches_dense_gate_product(name):
+    circuit = GATE_LOOP_CIRCUITS[name]
+    assert np.max(np.abs(compose(circuit) - _dense(circuit))) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(GATE_LOOP_CIRCUITS))
+def test_compose_equals_stacked_single_columns(name):
+    # one pass over all 16 basis columns equals 16 passes over one column each
+    circuit = GATE_LOOP_CIRCUITS[name]
+    whole = compose(circuit)
+    columns = np.column_stack(
+        [circuit_mod._run_gates(circuit, np.eye(1, 16, k, dtype=complex)[0]) for k in range(16)]
+    )
+    assert np.max(np.abs(whole - columns)) < 1e-14
+    unmeasured = Circuit(circuit.unitary_gates())
+    assert np.max(np.abs(simulate_circuit(unmeasured).p - np.abs(whole[:, 0]) ** 2)) < 1e-14
+
+
+def test_simulate_validates_once(monkeypatch):
+    built = []
+
+    def counting(cls):
+        def make(*args):
+            built.append(cls.__name__)
+            return cls(*args)
+
+        return make
+
+    monkeypatch.setattr(circuit_mod, "StateVector", counting(circuit_mod.StateVector))
+    monkeypatch.setattr(
+        circuit_mod, "OutcomeDistribution", counting(circuit_mod.OutcomeDistribution)
+    )
+    dist = simulate_circuit(build_game_circuit(ewl.StrategyProfile.from_letters("AECA")))
+    assert np.max(np.abs(dist.p - oracle.distribution("AECA"))) < 1e-12
+    assert sorted(built) == ["OutcomeDistribution", "StateVector"]

@@ -243,6 +243,46 @@ def test_sweep_grid_bound_checked_before_kernel(capsys, monkeypatch):
     assert str(cli.MAX_SWEEP_POINTS) in err
 
 
+def test_sweep_grid_at_bound_reaches_kernel(capsys, monkeypatch):
+    from dinerq import cli, ewl
+
+    class KernelReached(Exception):
+        pass
+
+    calls = []
+
+    def stub_kernel(thetas, phis):
+        calls.append(thetas.shape)
+        raise KernelReached
+
+    monkeypatch.setattr(ewl, "batch_probabilities", stub_kernel)
+    steps = math.isqrt(cli.MAX_SWEEP_POINTS)
+    with pytest.raises(KernelReached):
+        main([
+            "sweep", "--player", "D", "--others", "EEE",
+            "--theta-steps", str(steps), "--phi-steps", str(steps),
+        ])
+    assert calls == [(cli.SWEEP_CHUNK, 4)]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "classical", "--player", "D", "--others", "AAA"],
+        ["export-qasm", "--profile", "A,A,A,A", "--format", "json"],
+        ["export-qasm", "--profile", "A,A,A,A", "--payoffs", "payoffs.json"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: dinerq")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("case", sorted(BAD_PAYOFF_CONFIGS))
 def test_bad_payoff_file_is_error_exit(capsys, tmp_path, case):
     cfg = tmp_path / "payoffs.json"

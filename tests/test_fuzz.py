@@ -136,8 +136,8 @@ def test_profile_tokens_raise_only_game_error(text, command, model, steps, shots
         parse_profile(text)
     except GameError:
         pass
-    if command == "sweep":
-        argv = ["sweep", "--player", "D", "--others", text, "--model", model,
+    if command == "sweep":  # sweep has no classical model; test_cli checks its exit 2
+        argv = ["sweep", "--player", "D", "--others", text,
                 "--theta-steps", str(steps[0]), "--phi-steps", str(steps[1])]
     elif command == "simulate":
         argv = ["simulate", "--profile", text, "--model", model, "--format", "json"]

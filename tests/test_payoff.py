@@ -147,8 +147,12 @@ def _symmetric_text(cheap: str) -> str:
 
 # Payoff configs that used to escape as OverflowError, ValueError,
 # UnicodeDecodeError or RecursionError, or (strings, booleans) were read as
-# numbers. Each must now be a ValidationError.
+# numbers, and the non-finite numbers that `json.loads` accepts. Each must be a
+# ValidationError.
 BAD_PAYOFF_CONFIGS = {
+    "Infinity utility": _symmetric_text("Infinity, 4, 3, 0").encode(),
+    "-Infinity utility": _symmetric_text("6, 4, 3, -Infinity").encode(),
+    "NaN utility": _symmetric_text("6, NaN, 3, 0").encode(),
     "400-digit integer": _symmetric_text("1" + "0" * 400 + ", 4, 3, 0").encode(),
     "5001-digit integer": _symmetric_text("1" * 5001 + ", 4, 3, 0").encode(),
     "not UTF-8": b'{"symmetric": {"C": [6, 4, 3, 0], "E": [8, 4, 3, 1]}}\xff',

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 
 import pytest
 
 from dinerq import ewl
 from dinerq.circuit import Circuit, CNOTGate, CZGate, MeasureGate, U3Gate, build_game_circuit
-from dinerq.errors import QasmError
-from dinerq.qasm import export_qasm, import_qasm
+from dinerq.errors import GameError, QasmError
+from dinerq.qasm import HEADER, export_qasm, import_qasm
 
 
 def test_export_format():
@@ -69,6 +70,25 @@ def test_missing_header():
 def test_truncated_header():
     with pytest.raises(QasmError):
         import_qasm("OPENQASM 2.0;\n")
+
+
+@pytest.mark.parametrize("present", [1, 2, 3])
+def test_missing_header_line_is_the_line_after_the_text(present):
+    # the error names the line where the first missing header line belongs
+    text = "\n".join(HEADER[:present]) + "\n"
+    with pytest.raises(QasmError, match=re.escape(repr(HEADER[present]))) as exc:
+        import_qasm(text)
+    assert exc.value.lineno == present + 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["u3(0,0,0) q[4];", "cx q[0],q[4];", "cz q[4],q[1];", "measure q[4] -> c[0];",
+     "measure q[0] -> c[4];"],
+)
+def test_register_index_beyond_the_register_is_game_error(line):
+    with pytest.raises(GameError, match=r"\b4\b"):
+        import_qasm(export_qasm(Circuit(())) + line + "\n")
 
 
 def test_parse_errors_carry_line_numbers():

@@ -2,32 +2,30 @@ import numpy as np
 import pytest
 
 import oracle
+from dinerq.circuit import entangler_circuit, simulate_circuit
 from dinerq.errors import DomainError, ValidationError
 from dinerq.statevector import (
     SIGMA_Y,
+    OutcomeDistribution,
     StateVector,
     apply_controlled,
     apply_single_qubit,
     equal_up_to_global_phase,
-    new_basis_state,
-    probabilities,
 )
 
 I2 = np.eye(2, dtype=complex)
 E_MATRIX = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
-def test_basis_states():
-    s = new_basis_state(4, 0)
-    assert s.amps[0] == 1 and np.count_nonzero(s.amps) == 1
-    assert new_basis_state(1, 1).amps[1] == 1
-    assert new_basis_state(2, 2).amps[2] == 1  # |10>
+def basis(n: int, index: int) -> np.ndarray:
+    """Raw amplitudes of the computational basis state |index> on n qubits."""
+    return np.eye(1, 2**n, index, dtype=complex)[0]
 
 
-@pytest.mark.parametrize("n,index", [(4, 16), (4, -1), (0, 0), (21, 0)])
-def test_basis_state_domain_errors(n, index):
+@pytest.mark.parametrize("n", [0, 21])
+def test_state_rejects_bad_qubit_count(n):
     with pytest.raises(DomainError):
-        new_basis_state(n, index)
+        StateVector(n, np.ones(1, dtype=complex))
 
 
 def test_state_rejects_nan_and_bad_norm():
@@ -40,67 +38,80 @@ def test_state_rejects_nan_and_bad_norm():
 
 
 def test_state_is_immutable():
-    s = new_basis_state(2, 0)
+    s = StateVector(2, basis(2, 0))
     with pytest.raises(ValueError):
         s.amps[0] = 0.0
 
 
 def test_apply_single_qubit_identity():
-    s = new_basis_state(4, 5)
-    out = apply_single_qubit(s, I2, 2)
-    assert np.allclose(out.amps, s.amps)
+    psi = basis(4, 5)
+    out = apply_single_qubit(psi, I2, 2)
+    assert np.allclose(out, psi)
 
 
 def test_apply_single_qubit_examples():
     # expensive move on Alice's qubit flips the leftmost bit with a sign
-    out = apply_single_qubit(new_basis_state(4, 0), E_MATRIX, 0)
+    out = apply_single_qubit(basis(4, 0), E_MATRIX, 0)
     expected = np.zeros(16, complex)
     expected[0b1000] = -1.0
-    assert np.allclose(out.amps, expected)
+    assert np.allclose(out, expected)
 
-    out = apply_single_qubit(new_basis_state(1, 0), SIGMA_Y, 0)
-    assert np.allclose(out.amps, [0.0, 1.0j])
+    out = apply_single_qubit(basis(1, 0), SIGMA_Y, 0)
+    assert np.allclose(out, [0.0, 1.0j])
 
 
 def test_apply_single_qubit_bad_qubit():
     with pytest.raises(DomainError):
-        apply_single_qubit(new_basis_state(2, 0), I2, 2)
+        apply_single_qubit(basis(2, 0), I2, 2)
+    with pytest.raises(DomainError):
+        apply_single_qubit(np.eye(4, dtype=complex), I2, -1)
 
 
 def test_controlled_gate_examples():
-    s = new_basis_state(2, 0b11)
-    assert np.allclose(apply_controlled(s, "cz", 0, 1).amps, -s.amps)
-    s = new_basis_state(2, 0b10)
-    assert np.allclose(apply_controlled(s, "cnot", 0, 1).amps[0b11], 1.0)
-    assert np.allclose(apply_controlled(s, "cz", 0, 1).amps, s.amps)
+    psi = basis(2, 0b11)
+    assert np.allclose(apply_controlled(psi, "cz", 0, 1), -psi)
+    psi = basis(2, 0b10)
+    assert np.allclose(apply_controlled(psi, "cnot", 0, 1)[0b11], 1.0)
+    assert np.allclose(apply_controlled(psi, "cx", 0, 1)[0b11], 1.0)
+    assert np.allclose(apply_controlled(psi, "cz", 0, 1), psi)
 
 
 def test_controlled_gate_errors():
-    s = new_basis_state(2, 0)
+    psi = basis(2, 0)
     with pytest.raises(DomainError):
-        apply_controlled(s, "cz", 1, 1)
+        apply_controlled(psi, "cz", 1, 1)
     with pytest.raises(DomainError):
-        apply_controlled(s, "cnot", 0, 2)
+        apply_controlled(psi, "cnot", 0, 2)
     with pytest.raises(DomainError):
-        apply_controlled(s, "toffoli", 0, 1)
+        apply_controlled(psi, "toffoli", 0, 1)
 
 
 def test_controlled_gate_involution_exact():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        s = StateVector(4, oracle.random_state(rng))
+        psi = oracle.random_state(rng)
         for kind in ("cz", "cnot"):
-            twice = apply_controlled(apply_controlled(s, kind, 1, 3), kind, 1, 3)
-            assert np.max(np.abs(twice.amps - s.amps)) < 1e-12
+            twice = apply_controlled(apply_controlled(psi, kind, 1, 3), kind, 1, 3)
+            assert np.max(np.abs(twice - psi)) < 1e-12
+
+
+def test_gates_leave_their_input_unchanged():
+    rng = np.random.default_rng(17)
+    psi = oracle.random_states(rng, 3)
+    before = psi.copy()
+    apply_single_qubit(psi, oracle.random_unitary(rng), 1)
+    apply_controlled(psi, "cz", 0, 2)
+    apply_controlled(psi, "cnot", 2, 0)
+    assert np.array_equal(psi, before)
 
 
 def test_probabilities():
-    j = oracle.game_operator()
-    d = probabilities(StateVector(4, j @ new_basis_state(4, 0).amps))
+    # Born rule of the gate-level path: J|0000> is (|0000> + i|1111>)/√2
+    d = simulate_circuit(entangler_circuit())
     assert abs(d.p[0] - 0.5) < 1e-12 and abs(d.p[15] - 0.5) < 1e-12
-    assert probabilities(new_basis_state(4, 0b0101)).as_dict()["0101"] == 1.0
-    d = probabilities(StateVector(2, np.full(4, 0.5)))
-    assert np.allclose(d.p, 0.25)
+    assert OutcomeDistribution(4, np.abs(basis(4, 0b0101)) ** 2).as_dict()["0101"] == 1.0
+    with pytest.raises(ValidationError):
+        OutcomeDistribution(2, np.full(4, 0.5))
 
 
 def test_qubitwise_matches_dense_kronecker():
@@ -110,10 +121,41 @@ def test_qubitwise_matches_dense_kronecker():
         psi = oracle.random_state(rng)
         u = oracle.random_unitary(rng)
         qubit = int(rng.integers(4))
-        fast = apply_single_qubit(StateVector(4, psi), u, qubit)
+        fast = apply_single_qubit(psi, u, qubit)
         dense = oracle.embed_single(u, qubit) @ psi
-        assert np.max(np.abs(fast.amps - dense)) < 1e-12
-        assert abs(np.sum(np.abs(fast.amps) ** 2) - 1.0) < 1e-9
+        assert np.max(np.abs(fast - dense)) < 1e-12
+        assert abs(np.sum(np.abs(fast) ** 2) - 1.0) < 1e-9
+
+
+def test_batched_gates_match_dense_kronecker():
+    # every column of a (16, k) batch, k > 1, against the dense 16x16 operator
+    rng = np.random.default_rng(19)
+    for k in (2, 3, 16, 37):
+        psi = oracle.random_states(rng, k)
+        for qubit in range(4):
+            u = oracle.random_unitary(rng)
+            fast = apply_single_qubit(psi, u, qubit)
+            assert fast.shape == (16, k)
+            assert np.max(np.abs(fast - oracle.embed_single(u, qubit) @ psi)) < 1e-12
+        for kind in ("cnot", "cz"):
+            for control in range(4):
+                for target in range(4):
+                    if control == target:
+                        continue
+                    fast = apply_controlled(psi, kind, control, target)
+                    dense = oracle.embed_controlled(kind, control, target) @ psi
+                    assert fast.shape == (16, k)
+                    assert np.array_equal(fast, dense)
+
+
+def test_batch_columns_match_single_columns():
+    rng = np.random.default_rng(23)
+    psi = oracle.random_states(rng, 5)
+    u = oracle.random_unitary(rng)
+    batch = apply_controlled(apply_single_qubit(psi, u, 2), "cnot", 2, 0)
+    for col in range(5):
+        one = apply_controlled(apply_single_qubit(psi[:, col], u, 2), "cnot", 2, 0)
+        assert np.max(np.abs(batch[:, col] - one)) < 1e-14
 
 
 def test_unitary_round_trip():
@@ -122,9 +164,9 @@ def test_unitary_round_trip():
         psi = oracle.random_state(rng)
         u = oracle.random_unitary(rng)
         qubit = int(rng.integers(4))
-        s = apply_single_qubit(StateVector(4, psi), u, qubit)
-        s = apply_single_qubit(s, u.conj().T, qubit)
-        assert np.max(np.abs(s.amps - psi)) < 1e-9
+        out = apply_single_qubit(psi, u, qubit)
+        out = apply_single_qubit(out, u.conj().T, qubit)
+        assert np.max(np.abs(out - psi)) < 1e-9
 
 
 def test_equal_up_to_global_phase():
