@@ -204,29 +204,29 @@ def _dense(circuit: Circuit) -> np.ndarray:
     return out
 
 
-GATE_LOOP_CIRCUITS = {
-    "entangler": entangler_circuit(),
-    "CEAA": build_game_circuit(ewl.StrategyProfile.from_letters("CEAA")),
-    "parametric": build_game_circuit(
+GATE_LOOP_CIRCUITS = {  # built inside each test, so a failing build fails only that test
+    "entangler": entangler_circuit,
+    "CEAA": lambda: build_game_circuit(ewl.StrategyProfile.from_letters("CEAA")),
+    "parametric": lambda: build_game_circuit(
         ewl.StrategyProfile(
             ewl.Strategy.parametric(0.3, 1.2), ewl.E, ewl.Strategy.parametric(2.5, 0.1), ewl.A
         )
     ),
-    "cz": Circuit((U3Gate(1.1, 0.2, -0.7, 0), U3Gate(0.4, 2.0, 1.0, 3), CZGate(3, 0),
-                   CNOTGate(0, 2), CZGate(1, 2))),
+    "cz": lambda: Circuit((U3Gate(1.1, 0.2, -0.7, 0), U3Gate(0.4, 2.0, 1.0, 3), CZGate(3, 0),
+                           CNOTGate(0, 2), CZGate(1, 2))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GATE_LOOP_CIRCUITS))
 def test_compose_matches_dense_gate_product(name):
-    circuit = GATE_LOOP_CIRCUITS[name]
+    circuit = GATE_LOOP_CIRCUITS[name]()
     assert np.max(np.abs(compose(circuit) - _dense(circuit))) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(GATE_LOOP_CIRCUITS))
 def test_compose_equals_stacked_single_columns(name):
     # one pass over all 16 basis columns equals 16 passes over one column each
-    circuit = GATE_LOOP_CIRCUITS[name]
+    circuit = GATE_LOOP_CIRCUITS[name]()
     whole = compose(circuit)
     columns = np.column_stack(
         [circuit_mod._run_gates(circuit, np.eye(1, 16, k, dtype=complex)[0]) for k in range(16)]
